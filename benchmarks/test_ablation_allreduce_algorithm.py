@@ -11,7 +11,7 @@ import numpy as np
 from conftest import within
 
 from repro.bench.series import Series, render
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
 from repro.units import us
 

@@ -18,7 +18,7 @@ from conftest import within
 from repro.bench.coll import measure_allreduce
 from repro.bench.series import Series, render
 from repro.cuda import UniformKernel, WorkSpec
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
 from repro.partitioned import device as pdev
 from repro.pcoll.fused import fused_pallreduce_init

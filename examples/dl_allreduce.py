@@ -12,7 +12,7 @@ variants produce bit-identical gradients — only the time differs.
 import numpy as np
 
 from repro.apps.dl import DlConfig, run_dl
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
 from repro.units import us
 

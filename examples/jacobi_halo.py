@@ -11,7 +11,7 @@ against a serial solve, and reports GFLOP/s.
 import numpy as np
 
 from repro.apps.jacobi import JacobiConfig, process_grid, run_jacobi, serial_jacobi
-from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED
 from repro.mpi.world import World
 
 

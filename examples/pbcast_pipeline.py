@@ -12,7 +12,7 @@ long before the last partition is even ready.
 
 import numpy as np
 
-from repro.hw.params import PAPER_TESTBED
+from repro.hw.spec import PAPER_TESTBED
 from repro.mpi.world import World
 from repro.units import us
 

@@ -14,7 +14,7 @@ Fig 5 columns.
 """
 
 from repro.bench.p2p import TWO_NODE_PAIR, measure_p2p_goodput
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.units import GBps
 
 GRIDS = (1, 16, 256, 2048, 32768)

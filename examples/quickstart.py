@@ -12,7 +12,7 @@ synchronizes the stream*; rank 1 just waits on its partitioned receive.
 import numpy as np
 
 from repro.cuda import BlockKernel, WorkSpec
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
 from repro.partitioned import device as pdev
 from repro.partitioned.prequest import CopyMode

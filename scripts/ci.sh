@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: tests + benchmark smoke + repo-invariant lint + (when
-# available) ruff.  Usage: scripts/ci.sh
+# Tier-1 gate: tests + benchmark smoke + static analysis + perfbench
+# self-tests + (when available) ruff.  Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +24,7 @@ PYTHONPATH=src python -m repro bench --suite cluster-fattree-512 --shards 2 \
 PYTHONPATH=src python - <<'EOF'
 import json
 from repro.perf.bench import resolve_baseline
-base = json.load(open(resolve_baseline("auto", current_pr=10)))["suite"]["cluster-fattree-512"]
+base = json.load(open(resolve_baseline("auto")))["suite"]["cluster-fattree-512"]
 got = json.load(open("/tmp/repro_bench_cluster.json"))["suite"]["cluster-fattree-512"]
 for key in ("msg_digest", "messages", "windows", "cluster_events_popped",
             "per_shard_popped", "t_end_us"):
@@ -76,7 +76,7 @@ def rows(path):
 seq, mp = rows("/tmp/repro_fault_seq.txt"), rows("/tmp/repro_fault_mp.txt")
 assert seq and seq == mp, "faulted run: sequential vs --shards 2 diverged"
 msg = re.search(r"digest msg\s+(\S+)", open("/tmp/repro_fault_seq.txt").read()).group(1)
-base = json.load(open(resolve_baseline("auto", current_pr=10)))
+base = json.load(open(resolve_baseline("auto")))
 healthy = base["suite"]["cluster-fattree-512"]["msg_digest"]
 assert msg != healthy[:len(msg)], "fault schedule did not perturb the halo digest"
 print(f"fault-smoke: {len(seq)} rows identical across modes, digest differs from healthy")
@@ -119,11 +119,9 @@ for a, b in zip(first["cells"], second["cells"]):
 print(f"workload smoke: {len(second['cells'])} cells, 100% cache hits on re-run")
 EOF
 
-echo "== repo-invariant lint (scripts/lint_repro.py) =="
-python scripts/lint_repro.py src/repro
-
 echo "== static analysis (python -m repro analyze) =="
-# Fails on any finding that is neither inline-suppressed nor in
+# Gates the repo-invariant lint rules together with every other analyzer
+# pass.  Fails on any finding that is neither inline-suppressed nor in
 # analyze-baseline.json; also exports SARIF for CI annotation upload.
 PYTHONPATH=src python -m repro analyze --sarif /tmp/repro_analyze.sarif
 PYTHONPATH=src python - <<'EOF'
@@ -132,6 +130,11 @@ from repro.analyze.sarif import validate_sarif
 validate_sarif(json.load(open("/tmp/repro_analyze.sarif")))
 print("analyze smoke: SARIF export valid")
 EOF
+
+echo "== perfbench self-tests (host-time benchmark harness) =="
+# The traced run wraps named simulator entry points (perfbench/layers.py);
+# renaming or deleting one of them fails here.
+python3 -m pytest -q perfbench/tests
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check =="

@@ -1,11 +1,9 @@
-"""The repo-invariant rules, migrated from :mod:`repro.san.lint`.
+"""The repo-invariant rules of :mod:`repro.san.lint` as an analyzer pass.
 
-The six historical checks (wallclock, raw-units, dropped-return,
-obs-bypass, eager-obs-payload, fabric-bypass) keep their ids, their
-summaries, and their exact findings — this pass calls the original
-per-module checkers so ``scripts/lint_repro.py`` (now a shim over the
-same code) and ``python -m repro analyze`` can never drift apart.  A
-test pins the equivalence (tests/analyze/test_migration.py).
+Each module is linted with :func:`~repro.san.lint.lint_source`, scoped
+to the deterministic core the way the checks define it; the rule ids and
+summaries are the lint's own.  A test pins the pass's findings to direct
+``lint_source`` calls (tests/analyze/test_migration.py).
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Benchmark harness: regenerates every table and figure of the paper.
+"""Benchmark harness: measurement layers for every table and figure.
 
-Each ``fig*``/``table*`` function in :mod:`repro.bench.figures` runs the
-full simulation workload for one exhibit and returns a
+:mod:`repro.bench.p2p`, :mod:`repro.bench.coll` and
+:mod:`repro.bench.apps` own the per-exhibit methodology; the exhibits
+themselves are registered Workloads (:mod:`repro.workload.exhibits`), so
+``get("fig4").run(...).series`` returns a
 :class:`~repro.bench.series.Series` whose rows mirror what the paper
-plots; :func:`~repro.bench.series.render` prints them.  The
+plots, and :func:`~repro.bench.series.render` prints it.  The
 ``benchmarks/`` directory wraps these in pytest-benchmark targets, and
 EXPERIMENTS.md records paper-vs-measured values.
 """

@@ -18,8 +18,7 @@ from typing import Generator, List, Optional
 
 from repro.cuda.kernel import BlockKernel, UniformKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE, TestbedConfig
-from repro.hw.topology import MachineLike
+from repro.hw.spec import ONE_NODE, MachineSpec, named_spec
 from repro.partitioned import device as pdev
 from repro.workload.runner import run_ranks
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
@@ -29,7 +28,7 @@ BLOCK = 1024
 BYTES_PER_THREAD = 8
 
 #: Two nodes with one GH200 each: ranks 0/1 are forced inter-node.
-TWO_NODE_PAIR = TestbedConfig(n_nodes=2, gpus_per_node=1)
+TWO_NODE_PAIR = named_spec("gh200-2x1")
 
 
 def auto_transport_partitions(grid: int, model: str, inter_node: bool) -> int:
@@ -55,7 +54,7 @@ def auto_transport_partitions(grid: int, model: str, inter_node: bool) -> int:
 # Fig 2: cudaStreamSynchronize motivation
 # --------------------------------------------------------------------------
 
-def measure_launch_sync(grid: int, block: int = BLOCK, config: MachineLike = ONE_NODE) -> dict:
+def measure_launch_sync(grid: int, block: int = BLOCK, config: MachineSpec = ONE_NODE) -> dict:
     """One launch+sync measurement on a fresh single-GPU world."""
 
     def main(ctx):
@@ -79,7 +78,7 @@ def measure_launch_sync(grid: int, block: int = BLOCK, config: MachineLike = ONE
 # --------------------------------------------------------------------------
 
 def measure_pready_cost(
-    n_threads: int, mode: SignalMode, config: MachineLike = ONE_NODE
+    n_threads: int, mode: SignalMode, config: MachineSpec = ONE_NODE
 ) -> float:
     """Device-side cost of the MPIX_Pready call for one block of
     ``n_threads`` under a signal mode (intra-node channel, 1 partition)."""
@@ -190,7 +189,7 @@ def _p2p_goodput_main(ctx, grid: int, model: str, iters: int, tps: int) -> Gener
 def measure_p2p_goodput(
     grid: int,
     model: str,
-    config: MachineLike = ONE_NODE,
+    config: MachineSpec = ONE_NODE,
     iters: int = 3,
     tps: Optional[int] = None,
 ) -> float:

@@ -55,7 +55,7 @@ def host_flag_write_proc(
     """
     if n_writes < 1:
         raise ValueError("n_writes must be >= 1")
-    hw = device.fabric.config.params
+    hw = device.fabric.spec.params
     link = device.fabric.d2h_link(device.gpu_id)
     yield link.port.acquire()
     t0 = device.engine.now
@@ -81,7 +81,7 @@ def multi_flag_write_proc(device: "Device", signals, actor=None):
     engine is unobserved there, hence no per-signal ``record`` calls);
     the exact path keeps per-signal processes.
     """
-    hw = device.fabric.config.params
+    hw = device.fabric.spec.params
     link = device.fabric.d2h_link(device.gpu_id)
     engine = device.engine
     yield link.port.acquire()
@@ -105,7 +105,7 @@ def _fenced_copy(device: "Device", src: Buffer, dst: Buffer, name: str, actor=No
         yield device.fabric.dataplane.put(
             src, dst, traffic_class="cuda", initiator="device", name=name
         )
-        yield device.engine.timeout(device.fabric.config.params.kc_fence_overhead)
+        yield device.engine.timeout(device.fabric.spec.params.kc_fence_overhead)
 
     ev = device.engine.process(proc(), name=name)
     if actor is not None:
@@ -178,7 +178,7 @@ class BlockCtx:
     def atomic_add(self, counter: Counter, amount: int = 1) -> Event:
         """Atomic add in this GPU's global memory; event value = new count."""
         def proc():
-            yield self.engine.timeout(self.device.fabric.config.params.gmem_atomic)
+            yield self.engine.timeout(self.device.fabric.spec.params.gmem_atomic)
             # An atomic RMW is both an acquire and a release on the counter:
             # every pair of atomics on it is happens-before ordered.
             record.acquire(self.actor, ("ctr", id(counter)))
@@ -264,7 +264,7 @@ class KernelCtx:
     def bulk_atomic_adds(self, counter: Counter, amount: int) -> Event:
         """Aggregate global-memory atomics: ``amount`` increments at once."""
         def proc():
-            yield self.engine.timeout(self.device.fabric.config.params.gmem_atomic)
+            yield self.engine.timeout(self.device.fabric.spec.params.gmem_atomic)
             record.acquire(self.actor, ("ctr", id(counter)))
             record.release(self.actor, ("ctr", id(counter)))
             return counter.add(amount)

@@ -22,8 +22,8 @@ from repro.dataplane.policy import (
     SinglePathPolicy,
 )
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE
-from repro.hw.topology import Fabric, MachineLike
+from repro.hw.spec import ONE_NODE, MachineSpec
+from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 from repro.units import KiB, MiB, fmt_bytes
 
@@ -43,7 +43,7 @@ def _mk_policy(policy) -> PathPolicy:
 def measure_stripe_goodput(
     nbytes: int,
     policy="single",
-    config: MachineLike = ONE_NODE,
+    config: MachineSpec = ONE_NODE,
     src_gpu: int = 0,
     dst_gpu: int = 1,
 ) -> dict:
@@ -99,7 +99,7 @@ SWEEP_SIZES = (
 
 def stripe_sweep(
     sizes: Sequence[int] = SWEEP_SIZES,
-    config: MachineLike = ONE_NODE,
+    config: MachineSpec = ONE_NODE,
     src_gpu: int = 0,
     dst_gpu: int = 1,
 ) -> Series:
@@ -133,7 +133,7 @@ def stripe_sweep(
 
 def _pipelined_chunks(
     policy,
-    config: MachineLike,
+    config: MachineSpec,
     chunks: int,
     chunk_bytes: int,
     depth: int,
@@ -194,7 +194,7 @@ def measure_fault_reroute(
     total_bytes: int = 512 * MiB,
     chunks: int = 32,
     depth: int = 4,
-    config: MachineLike = ONE_NODE,
+    config: MachineSpec = ONE_NODE,
 ) -> dict:
     """Down the primary NVLink mid-run under a plan-cached chunk pipeline.
 
@@ -235,7 +235,7 @@ def measure_congestion_goodput(
     policy="congestion",
     n_transfers: int = 8,
     nbytes: int = 16 * MiB,
-    config: MachineLike = ONE_NODE,
+    config: MachineSpec = ONE_NODE,
 ) -> dict:
     """``n_transfers`` concurrent same-pair D2D puts under one policy.
 

@@ -169,11 +169,11 @@ class PlanCache:
             desc.payload, desc.traffic_class,
         )
 
-    def lookup(self, desc, fabric=None) -> Optional[tuple]:
+    def lookup(self, desc, fabric) -> Optional[tuple]:
         """Cached stripes for ``desc``, or None on miss (then validate).
 
-        ``fabric`` enables the epoch check; without it (legacy callers)
-        plans replay as captured — correct on a never-mutated fabric.
+        A plan captured under an older ``fabric`` epoch is re-bound
+        around the links that changed since.
         """
         key = self._key(desc)
         entry = self._plans.get(key)
@@ -186,7 +186,7 @@ class PlanCache:
                     f"{desc.name}: captured plan references freed buffer "
                     f"{buf.label!r} — re-capture after freeing endpoints"
                 )
-        if fabric is not None and epoch != fabric.link_state.epoch:
+        if epoch != fabric.link_state.epoch:
             stripes = self._rebind(key, desc, stripes, fabric)
             if stripes is None:
                 return None

@@ -99,7 +99,12 @@ class Dataplane:
         name: str = "xfer",
         initiator: str = "host",
     ) -> Event:
-        """Move ``src``'s payload into ``dst``; event fires when data landed."""
+        """Move ``src``'s payload into ``dst``; event fires when data landed.
+
+        The payload copy happens exactly at arrival time, so a reader that
+        waits for the event observes the new data and a reader that races
+        observes the old data — matching RMA visibility semantics.
+        """
         return self.submit(TransferDescriptor(
             src, dst, traffic_class=traffic_class, name=name, initiator=initiator,
         ))
@@ -320,7 +325,7 @@ class Dataplane:
         )
 
     def _staged_execute(self, desc: TransferDescriptor) -> Event:
-        overhead = self.fabric.config.params.cuda_ipc_put_overhead
+        overhead = self.fabric.spec.params.cuda_ipc_put_overhead
         engine_res = self.fabric.copy_engine[desc.src.gpu]
         engine = self.engine
 

@@ -8,11 +8,11 @@ graph; the paper's GH200 testbed (Section V) is the canonical catalog
 entry, with its calibration constants in :mod:`repro.hw.params`.
 """
 
-from repro.hw.params import GH200Params, TestbedConfig
+from repro.hw.params import GH200Params
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.links import Link
-from repro.hw.spec import MachineSpec, as_spec, gh200_spec, named_spec
-from repro.hw.topology import Fabric, GpuId, MachineLike, Topology
+from repro.hw.spec import MachineSpec, gh200_spec, named_spec
+from repro.hw.topology import Fabric, GpuId, Topology
 
 __all__ = [
     "Buffer",
@@ -20,12 +20,9 @@ __all__ = [
     "GH200Params",
     "GpuId",
     "Link",
-    "MachineLike",
     "MachineSpec",
     "MemSpace",
-    "TestbedConfig",
     "Topology",
-    "as_spec",
     "gh200_spec",
     "named_spec",
 ]

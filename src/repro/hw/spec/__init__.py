@@ -9,8 +9,9 @@ canonical catalog entry (:func:`gh200_spec`).
 """
 
 from repro.hw.spec.catalog import (
+    ONE_NODE,
+    PAPER_TESTBED,
     SPECS,
-    as_spec,
     dgx_nvswitch_spec,
     gh200_node,
     gh200_spec,
@@ -34,10 +35,11 @@ __all__ = [
     "LinkGraph",
     "MachineSpec",
     "NodeSpec",
+    "ONE_NODE",
+    "PAPER_TESTBED",
     "RouteSearchError",
     "SPECS",
     "SpecError",
-    "as_spec",
     "dgx_nvswitch_spec",
     "gh200_node",
     "gh200_spec",

@@ -1,8 +1,9 @@
 """Canonical machine specs: the paper's testbed and other fabrics.
 
-``gh200_spec`` re-expresses the hard-coded GH200 testbed of the seed as a
-:class:`~repro.hw.spec.schema.MachineSpec` — byte-identical behaviour is
-pinned by ``tests/sim/test_determinism.py``.  The other entries describe
+``gh200_spec`` describes the paper's GH200 testbed as a
+:class:`~repro.hw.spec.schema.MachineSpec` (``PAPER_TESTBED`` is its
+2x4 entry, ``ONE_NODE`` the 1x4 one) — byte-identical behaviour against
+the seed's hard-coded testbed is pinned by ``tests/sim/test_determinism.py``.  The other entries describe
 machines from the related work (PAPERS.md): an NVSwitch-routed DGX-style
 node ("Demystifying NVSHMEM") where intra-node D2D serializes through
 shared switch ports, and a no-P2P PCIe box where D2D stages through host
@@ -12,9 +13,9 @@ stream-triggered systems are closer to this shape than to a GH200).
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict
 
-from repro.hw.params import GH200Params, TestbedConfig
+from repro.hw.params import GH200Params
 from repro.hw.spec.schema import (
     GpuSpec,
     Interconnect,
@@ -141,12 +142,8 @@ def named_spec(name: str) -> MachineSpec:
     return spec
 
 
-def as_spec(config: Union[MachineSpec, TestbedConfig]) -> MachineSpec:
-    """Coerce a legacy :class:`TestbedConfig` (or pass through a spec)."""
-    if isinstance(config, MachineSpec):
-        return config
-    if isinstance(config, TestbedConfig):
-        return gh200_spec(config.n_nodes, config.gpus_per_node, config.params)
-    raise TypeError(
-        f"expected MachineSpec or TestbedConfig, got {type(config).__name__}"
-    )
+#: The testbed of the paper: two nodes, four GH200 superchips each.
+PAPER_TESTBED = SPECS["gh200-2x4"]
+
+#: Single-node variant used by the intra-node experiments.
+ONE_NODE = SPECS["gh200-1x4"]

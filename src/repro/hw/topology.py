@@ -1,28 +1,26 @@
-"""Machine topology and the Fabric route/transfer facade.
+"""Machine topology and the Fabric route facade.
 
 :class:`Topology` answers shape queries (which node owns a GPU, who is a
-peer) over a :class:`~repro.hw.spec.schema.MachineSpec` — or over a legacy
-:class:`~repro.hw.params.TestbedConfig`, which is coerced to the canonical
-GH200 spec (paper Section V: ``n_nodes`` nodes of NVLink-meshed GH200
-superchips with one ConnectX-7 NIC each).
+peer) over a :class:`~repro.hw.spec.schema.MachineSpec` — for the paper's
+testbed (Section V) that is ``n_nodes`` nodes of NVLink-meshed GH200
+superchips with one ConnectX-7 NIC each.
 
 :class:`Fabric` compiles the spec into a typed link graph
 (:class:`~repro.hw.spec.graph.LinkGraph`), resolves a route for any
 (source buffer, destination buffer) pair by graph search — memoized per
 (src-port, dst-port) in a route cache, so the hot transfer path never
-re-searches — and runs transfers with real payload copies.
+re-searches — and owns the :class:`~repro.dataplane.plane.Dataplane`
+every transfer is submitted to.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.dataplane.plane import Dataplane
 from repro.hw import faults as hw_faults
 from repro.hw.links import Link, LinkState
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import TestbedConfig
-from repro.hw.spec.catalog import as_spec
 from repro.hw.spec.graph import LinkGraph, Port, RouteSearchError
 from repro.hw.spec.schema import MachineSpec
 from repro.sim.engine import Engine
@@ -31,16 +29,12 @@ from repro.sim.events import Event
 #: Global GPU index (0 .. n_gpus-1); node-local index is position on the node.
 GpuId = int
 
-#: Anything that describes a machine: a declarative spec or the legacy config.
-MachineLike = Union[MachineSpec, TestbedConfig]
-
 
 class Topology:
     """Pure shape and capability queries over a machine description."""
 
-    def __init__(self, config: MachineLike) -> None:
-        self.config = config
-        self.spec = as_spec(config)
+    def __init__(self, spec: MachineSpec) -> None:
+        self.spec = spec
 
     @property
     def n_nodes(self) -> int:
@@ -110,11 +104,10 @@ class Fabric:
     def __init__(
         self,
         engine: Engine,
-        config: MachineLike,
+        spec: MachineSpec,
         fault_scope: "int | None" = None,
     ) -> None:
         self.engine = engine
-        self.config = config
         #: Node id this fabric simulates when it is a shard-local cut
         #: (scopes node-targeted fault events); None = whole machine.
         #: Falls back to ``engine.shard_id`` so multiprocess shards are
@@ -123,8 +116,8 @@ class Fabric:
             fault_scope if fault_scope is not None
             else getattr(engine, "shard_id", None)
         )
-        self.spec = as_spec(config)
-        self.topo = Topology(config)
+        self.spec = spec
+        self.topo = Topology(spec)
         self.graph = LinkGraph(engine, self.spec)
         #: The one mutation surface for link health (DESIGN.md §17);
         #: every mutation bumps its epoch and invalidates route caches.
@@ -147,8 +140,6 @@ class Fabric:
         self.switch_down: Dict[GpuId, Link] = self.graph.switch_down
         self.d2h: Dict[GpuId, Link] = self.graph.d2h
         self.h2d: Dict[GpuId, Link] = self.graph.h2d
-        self.c2c_d2h: Dict[GpuId, Link] = self.graph.d2h  # legacy GH200 alias
-        self.c2c_h2d: Dict[GpuId, Link] = self.graph.h2d  # legacy GH200 alias
         self.nic_out: Dict[int, Link] = self.graph.nic_out
         self.nic_in: Dict[int, Link] = self.graph.nic_in
         self.hostmem_tx: Dict[int, Link] = self.graph.hostmem_tx
@@ -165,8 +156,7 @@ class Fabric:
             for g in range(self.topo.n_gpus)
         }
 
-        #: The single submission point for every simulated byte; the
-        #: legacy transfer methods below delegate here.  Path selection
+        #: The single submission point for every simulated byte.  Path selection
         #: (single route vs link-disjoint striping) is the dataplane
         #: policy's call — see repro.dataplane and DESIGN.md §12.
         self.dataplane = Dataplane(self)
@@ -280,40 +270,6 @@ class Fabric:
                 self._route_cache[key] = links
                 loaded += 1
         return loaded
-
-    # -- transfers --------------------------------------------------------------
-    # Compatibility shims: the dataplane owns execution (descriptor
-    # validation, path policy, per-class ledger).  Producers inside
-    # repro.* submit descriptors with their own traffic classes; these
-    # keep the historic Fabric surface for tests and external callers.
-    def transfer(self, src: Buffer, dst: Buffer, name: str = "xfer") -> Event:
-        """Move ``src``'s payload into ``dst``; event fires when data landed.
-
-        The payload copy happens exactly at arrival time, so a reader that
-        waits for the event observes the new data and a reader that races
-        observes the old data — matching RMA visibility semantics.
-        """
-        return self.dataplane.put(src, dst, name=name)
-
-    def host_initiated_transfer(self, src: Buffer, dst: Buffer, name: str = "hxfer") -> Event:
-        """A transfer issued by *host* software (UCX put, MPI rendezvous).
-
-        Device-to-device payloads between peers that can IPC-map each
-        other ride the cuda_ipc path: a host-mediated async copy through
-        the source GPU's copy engine, paying the per-op setup cost — the
-        mechanism the Kernel-Copy design bypasses (paper Section IV-A4).
-        Everything else (host buffers, same-GPU, inter-node GPUDirect,
-        no-P2P staging) is a plain transfer.
-        """
-        return self.dataplane.rma_put(src, dst, name=name)
-
-    def transfer_bytes(self, src: Buffer, dst: Buffer, nbytes: int, name: str = "ctrl") -> Event:
-        """Timed transfer of ``nbytes`` along src->dst route without payload.
-
-        Used for control messages (flags, setup packets) whose logical
-        content is applied by the caller on completion.
-        """
-        return self.dataplane.control(src, dst, nbytes, name=name)
 
     def gpu_distance(self, a: GpuId, b: GpuId) -> str:
         """'local' | 'nvlink' | 'ib' — used by protocol selection."""

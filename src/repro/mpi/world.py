@@ -23,8 +23,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cuda.device import Device
 from repro.cuda.timing import CostModel
-from repro.hw.params import PAPER_TESTBED
-from repro.hw.topology import Fabric, MachineLike
+from repro.hw.spec import PAPER_TESTBED, MachineSpec
+from repro.hw.topology import Fabric
 from repro.mpi.comm import CommGroup, Communicator
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.runtime import MpiRuntime
@@ -96,9 +96,8 @@ class World:
 
     def __init__(
         self,
-        config: MachineLike = PAPER_TESTBED,
+        config: MachineSpec = PAPER_TESTBED,
         cost: Optional[CostModel] = None,
-        trace: bool = False,
         engine: Optional[Engine] = None,
     ) -> None:
         # Collect predecessors' cyclic garbage *before* allocating this
@@ -109,10 +108,7 @@ class World:
             import gc
 
             gc.collect()
-        elif trace:
-            raise ValueError("trace=True is not supported with an injected engine")
-        self.config = config
-        self.engine = engine if engine is not None else Engine(trace=trace)
+        self.engine = engine if engine is not None else Engine()
         self.fabric = Fabric(self.engine, config)
         # An explicit cost model applies to every device; otherwise each
         # device derives its own from the machine spec's per-GPU constants.

@@ -33,7 +33,7 @@ attached, so every instrumentation site reduces to::
 Buses learn about engines two ways: explicitly (``bus.attach(engine)``)
 or ambiently — :func:`install` makes a bus process-global, and every
 :class:`~repro.sim.engine.Engine` constructed afterwards announces itself
-via :func:`note_engine` (mirroring ``repro.san.record``), which is how
+via :func:`note_engine`, which is how
 ``python -m repro profile <script>`` observes Worlds it never sees built.
 
 Subscriber contract
@@ -213,21 +213,6 @@ class Bus:
         """Publish counter samples (one numeric series per payload key)."""
         at = self.now if t is None else t
         self._emit(COUNTER, cat, name, None, at, at, tuple(sorted(samples.items())))
-
-
-class TextLog:
-    """Plain-text subscriber backing the deprecated ``Engine.trace_log``.
-
-    Collects ``(time, message)`` pairs from ``cat="engine", name="trace"``
-    instants — the exact shape the old free-form trace list had.
-    """
-
-    def __init__(self) -> None:
-        self.lines: List[Tuple[float, str]] = []
-
-    def on_event(self, ev: ObsEvent) -> None:
-        if ev.kind == INSTANT and ev.cat == "engine" and ev.name == "trace":
-            self.lines.append((ev.t0, ev.get("msg", "")))
 
 
 # --------------------------------------------------------------------------

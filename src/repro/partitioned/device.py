@@ -160,7 +160,7 @@ def parrived_device(blk: BlockCtx, rreq: "PrecvRequest", partition: int):
     def proc() -> Generator:
         if not flag.is_set:
             yield flag.wait()
-        yield blk.engine.timeout(blk.device.fabric.config.params.host_to_dev_flag)
+        yield blk.engine.timeout(blk.device.fabric.spec.params.host_to_dev_flag)
         # Import the sender's published history, then record the read this
         # call licenses (the partition's bytes are now safe to consume).
         record.acquire(blk.actor, ("arr", rreq.key, partition))
@@ -291,7 +291,7 @@ class PreadyWaveHook:
         bpp = agg.blocks_per_partition
         threshold = agg.gmem_threshold()
         counters = preq.gmem_counters
-        ga = kctx.device.fabric.config.params.gmem_atomic
+        ga = kctx.device.fabric.spec.params.gmem_atomic
         base: dict = {}       # tp -> counter value when first touched
         vis: dict = {}        # tp -> adds visible per exact-path semantics
         unapplied: dict = {}  # tp -> adds not yet pushed to the Counter

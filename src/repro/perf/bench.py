@@ -264,7 +264,8 @@ def _check_against(results: Dict[str, dict], baseline: dict, tolerance: float) -
     for name, row in results.items():
         base = recorded.get(name)
         if base is None:
-            print(f"  {name}: no baseline entry (skipped)")
+            print(f"  {name}: no baseline entry -> MISSING")
+            failures += 1
             continue
         ceiling = base["events_popped"] * (1.0 + tolerance)
         verdict = "ok" if row["events_popped"] <= ceiling else "REGRESSED"
@@ -277,12 +278,12 @@ def _check_against(results: Dict[str, dict], baseline: dict, tolerance: float) -
     return 1 if failures else 0
 
 
-def resolve_baseline(spec: Optional[str], current_pr: int) -> Optional[str]:
+def resolve_baseline(spec: Optional[str], out: Optional[str] = None) -> Optional[str]:
     """Resolve an ``--against`` value to a baseline path.
 
     ``auto`` (or an explicit directory) picks the newest checked-in
-    ``BENCH_pr<N>.json`` by PR number, excluding the file this run is
-    about to write, so CI needs no hard-coded baseline name.
+    ``BENCH_pr<N>.json`` by PR number, excluding ``out`` — the file this
+    run writes — so CI needs no hard-coded baseline name.
     """
     if spec is None:
         return None
@@ -291,10 +292,11 @@ def resolve_baseline(spec: Optional[str], current_pr: int) -> Optional[str]:
         if not os.path.isdir(spec):
             return spec
         directory = spec
+    skip = os.path.realpath(out) if out else None
     candidates = []
     for path in glob.glob(os.path.join(directory, "BENCH_pr*.json")):
         m = re.fullmatch(r"BENCH_pr(\d+)\.json", os.path.basename(path))
-        if m and int(m.group(1)) != current_pr:
+        if m and os.path.realpath(path) != skip:
             candidates.append((int(m.group(1)), path))
     if not candidates:
         raise FileNotFoundError(
@@ -314,7 +316,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--against",
         help="baseline BENCH_pr<N>.json to gate events_popped against; "
-             "'auto' picks the newest checked-in BENCH_pr*.json",
+             "'auto' picks the newest BENCH_pr*.json other than --out",
     )
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
@@ -356,7 +358,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"wrote {out}")
 
-    baseline_path = resolve_baseline(args.against, args.pr)
+    baseline_path = resolve_baseline(args.against, out)
     if baseline_path:
         print(f"gating against {baseline_path}")
         with open(baseline_path) as fh:

@@ -15,7 +15,7 @@ Three layers (see DESIGN.md §8 and README "Sanitizing a run"):
   device reads, cross-node IPC misuse).
 
 Static companion: :mod:`repro.san.lint` (AST repo-invariant checks),
-exposed as ``scripts/lint_repro.py``.
+run by ``python -m repro analyze``.
 
 Usage::
 

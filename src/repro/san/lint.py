@@ -1,12 +1,9 @@
 """Static lint: AST checks enforcing repo invariants.
 
-Complements the dynamic sanitizer; runs standalone as
-``python scripts/lint_repro.py`` and inside ``scripts/ci.sh``.
-
-These nine checks are also registered — unchanged ids, unchanged
-findings — as the *invariant* family of the whole-program analyzer
-(``python -m repro analyze``, DESIGN.md §13); this module remains the
-implementation and the standalone shim.
+Complements the dynamic sanitizer.  These nine per-module checks run as
+the *invariant* family of the whole-program analyzer
+(``python -m repro analyze``, DESIGN.md §13), which calls
+:func:`lint_source` on every module; this module is their implementation.
 
 Checks (ids listed by ``python -m repro san --list-checks``):
 
@@ -26,9 +23,8 @@ Checks (ids listed by ``python -m repro san --list-checks``):
     process event, and with it the generator's return value.
 ``obs-bypass``
     Instrumentation in the deterministic core must go through the
-    :mod:`repro.obs` bus: no ``print(...)`` and no direct
-    ``trace_log.append(...)`` in core modules (CLI front-ends,
-    ``*/cli.py``, are exempt — printing is their job).
+    :mod:`repro.obs` bus: no ``print(...)`` in core modules (CLI
+    front-ends, ``*/cli.py``, are exempt — printing is their job).
 ``eager-obs-payload``
     An f-string payload handed to ``engine.trace(...)`` /
     ``obs.instant(...)`` / ``obs.span(...)`` formats *before* the call —
@@ -38,11 +34,10 @@ Checks (ids listed by ``python -m repro san --list-checks``):
 ``fabric-bypass``
     Every simulated byte moves through the dataplane (DESIGN.md §12).
     Outside ``repro/dataplane`` and ``repro/hw``, no module may call
-    ``start_transfer`` (or import it from ``repro.hw.links``) nor invoke
-    the legacy ``fabric.transfer`` / ``fabric.host_initiated_transfer`` /
-    ``fabric.transfer_bytes`` shims — producers submit descriptors via
-    ``fabric.dataplane.put`` / ``rma_put`` / ``control`` so path policy
-    and per-class accounting see the traffic.
+    ``start_transfer`` (or import it from ``repro.hw.links``) —
+    producers submit descriptors via ``fabric.dataplane.put`` /
+    ``rma_put`` / ``control`` so path policy and per-class accounting see
+    the traffic.
 ``shard-shared-state``
     Outside ``repro/shard``, nothing may reach into a shard's private
     state (``shard.engine`` / ``.fabric`` / ``.mailbox`` / ``.bridge``
@@ -73,7 +68,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.san.checks import CheckInfo
 
@@ -96,7 +91,7 @@ STATIC_CHECKS = {
     "obs-bypass": CheckInfo(
         "obs-bypass", "static",
         "core instrumentation must go through repro.obs "
-        "(no print / trace_log.append outside cli modules)",
+        "(no print outside cli modules)",
     ),
     "eager-obs-payload": CheckInfo(
         "eager-obs-payload", "static",
@@ -106,7 +101,7 @@ STATIC_CHECKS = {
     "fabric-bypass": CheckInfo(
         "fabric-bypass", "static",
         "data movement outside repro/{dataplane,hw} must submit to the "
-        "dataplane (no start_transfer / legacy fabric.transfer* calls)",
+        "dataplane (no start_transfer calls)",
     ),
     "shard-shared-state": CheckInfo(
         "shard-shared-state", "static",
@@ -142,9 +137,6 @@ class LintFinding:
     line: int
     check: str
     message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.check}] {self.message}"
 
 
 def _in_core(path: Path) -> bool:
@@ -308,25 +300,12 @@ def _check_obs_bypass(tree: ast.AST, path: str) -> List[LintFinding]:
                 "print() in the deterministic core — publish an event on the "
                 "repro.obs bus (or move output to a cli module)",
             ))
-        elif (
-            isinstance(func, ast.Attribute)
-            and func.attr == "append"
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "trace_log"
-        ):
-            found.append(LintFinding(
-                path, node.lineno, "obs-bypass",
-                "direct trace_log.append — Engine.trace_log is a deprecated "
-                "read-only shim; emit through the repro.obs bus instead",
-            ))
     return found
 
 
 #: Directories whose modules own the transfer machinery (exempt from
 #: fabric-bypass): the dataplane itself and the hw substrate under it.
 _DATAPLANE_OWNERS = {"dataplane", "hw"}
-_FABRIC_SHIM_METHODS = {"transfer", "host_initiated_transfer", "transfer_bytes"}
-_FABRIC_RECEIVERS = {"fabric", "fab"}
 
 
 def _owns_dataplane(path: str) -> bool:
@@ -336,13 +315,9 @@ def _owns_dataplane(path: str) -> bool:
 def _check_fabric_bypass(tree: ast.AST, path: str) -> List[LintFinding]:
     """Transfers issued around the dataplane choke point.
 
-    Flags, outside ``repro/dataplane`` and ``repro/hw``:
-
-    * ``start_transfer(...)`` calls and imports of it from
-      ``repro.hw.links`` — raw link driving;
-    * ``<...>.fabric.transfer(...)`` / ``.host_initiated_transfer(...)``
-      / ``.transfer_bytes(...)`` — the legacy Fabric shims, kept for
-      tests and external callers only.
+    Flags, outside ``repro/dataplane`` and ``repro/hw``, raw link driving:
+    ``start_transfer(...)`` calls and imports of it from
+    ``repro.hw.links``.
     """
     found: List[LintFinding] = []
 
@@ -359,15 +334,8 @@ def _check_fabric_bypass(tree: ast.AST, path: str) -> List[LintFinding]:
             func = node.func
             if isinstance(func, ast.Name) and func.id == "start_transfer":
                 flag(node, "start_transfer() call")
-            elif isinstance(func, ast.Attribute):
-                if func.attr == "start_transfer":
-                    flag(node, f"{_dotted(func) or 'start_transfer'}() call")
-                elif func.attr in _FABRIC_SHIM_METHODS:
-                    dotted = _dotted(func)
-                    if dotted is not None:
-                        receiver = dotted.split(".")[-2]
-                        if receiver in _FABRIC_RECEIVERS:
-                            flag(node, f"legacy {dotted}() call")
+            elif isinstance(func, ast.Attribute) and func.attr == "start_transfer":
+                flag(node, f"{_dotted(func) or 'start_transfer'}() call")
         elif isinstance(node, ast.ImportFrom):
             if node.module == "repro.hw.links" and any(
                 a.name == "start_transfer" for a in node.names
@@ -647,57 +615,3 @@ def lint_source(
     if not _owns_workloads(path):
         found += _check_workload_bypass(tree, path)
     return found
-
-
-def lint_file(path: Path, root: Optional[Path] = None) -> List[LintFinding]:
-    scoped = _in_core(path if root is None else path.relative_to(root.parent))
-    return lint_source(path.read_text(), str(path), scoped=scoped)
-
-
-def lint_tree(root: Path) -> List[LintFinding]:
-    """Lint every module under ``root`` (typically ``src/repro``)."""
-    findings: List[LintFinding] = []
-    for path in sorted(root.rglob("*.py")):
-        if path.name == "units.py":
-            continue
-        findings += lint_file(path)
-    return findings
-
-
-def render(findings: Iterable[LintFinding]) -> str:
-    lines = [f.render() for f in findings]
-    lines.append(f"lint: {len(lines)} finding(s)")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="lint_repro",
-        description="AST lint for repo invariants (see repro.san.lint).",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument("--list", action="store_true", help="list checks and exit")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        # The unified registry (repro.analyze.registry) — identical to
-        # `python -m repro analyze --list`, so the catalogues can't drift.
-        from repro.analyze.registry import render_rules
-
-        print(render_rules())
-        return 0
-
-    findings: List[LintFinding] = []
-    for p in args.paths:
-        path = Path(p)
-        if path.is_dir():
-            findings += lint_tree(path)
-        else:
-            findings += lint_file(path)
-    print(render(findings))
-    return 1 if findings else 0

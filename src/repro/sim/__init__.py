@@ -22,7 +22,7 @@ Design goals:
 from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process, ProcessFailed
-from repro.sim.resources import Channel, Counter, Flag, Resource, Store
+from repro.sim.resources import Channel, Counter, Flag, Resource
 
 __all__ = [
     "AllOf",
@@ -36,6 +36,5 @@ __all__ = [
     "Process",
     "ProcessFailed",
     "Resource",
-    "Store",
     "Timeout",
 ]

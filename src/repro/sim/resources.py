@@ -155,10 +155,6 @@ class Channel(Generic[T]):
         return None
 
 
-class Store(Channel[T]):
-    """Alias of Channel kept for SimPy familiarity."""
-
-
 class Resource:
     """Counted resource (semaphore) with FIFO grant order.
 

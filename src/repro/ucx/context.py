@@ -79,7 +79,7 @@ class UcpWorker:
         if existing is not None:
             return existing
             yield  # pragma: no cover - keeps this a generator
-        yield self.engine.timeout(self.fabric.config.params.ucp_ep_create)
+        yield self.engine.timeout(self.fabric.spec.params.ucp_ep_create)
         ep = UcpEndpoint(self, remote)
         self._endpoints[remote.worker_id] = ep
         return ep
@@ -120,12 +120,12 @@ class UcpContext:
     @classmethod
     def create(cls, engine: Engine, fabric: Fabric, node: int, gpu: Optional[int]):
         """Host generator: charge ``ucp_context_create`` and build."""
-        yield engine.timeout(fabric.config.params.ucp_context_create)
+        yield engine.timeout(fabric.spec.params.ucp_context_create)
         return cls(engine, fabric, node, gpu)
 
     def worker_create(self, name: str = ""):
         """Host generator: charge ``ucp_worker_create`` and build."""
-        yield self.engine.timeout(self.fabric.config.params.ucp_worker_create)
+        yield self.engine.timeout(self.fabric.spec.params.ucp_worker_create)
         worker = UcpWorker(self, name)
         self.workers.append(worker)
         return worker

@@ -92,7 +92,7 @@ class UcpEndpoint:
                     "ucx", "am_send", None,
                     am_id=am_id, nbytes=nbytes, worker=self.worker.name,
                 )
-            p = self.fabric.config.params
+            p = self.fabric.spec.params
             yield self.engine.timeout(p.am_send_overhead)
             src_probe = Buffer.alloc(
                 max(nbytes // 8, 1), space=_host_space(), node=self.worker.context.node

@@ -1,8 +1,11 @@
 """Every paper exhibit and bench micro-workload as a Workload.
 
-The series-building logic moved here verbatim from
-``repro.bench.figures`` (which is now a shim over this registry); the
-measurement layers — :mod:`repro.bench.p2p`, :mod:`repro.bench.coll`,
+These are the canonical entry points for every exhibit: the
+``python -m repro`` CLI, ``scripts/regenerate_results.py``, and the
+``benchmarks/`` targets all run them as ``get(name).run(**params).series``
+from :mod:`repro.workload.registry`.  Sweep axes default to a decimated
+version of the paper's; pass explicit ``grids=``/``multipliers=`` for
+denser sweeps.  The measurement layers — :mod:`repro.bench.p2p`, :mod:`repro.bench.coll`,
 :mod:`repro.bench.apps`, :mod:`repro.dataplane.bench` — are unchanged
 and still own the methodology, but they launch ranks through the
 :mod:`repro.workload.runner` choke point.  Outputs are pinned
@@ -23,8 +26,7 @@ from repro.bench import apps as app_bench
 from repro.bench import coll as coll_bench
 from repro.bench import p2p as p2p_bench
 from repro.bench.series import Series
-from repro.hw.params import ONE_NODE, PAPER_TESTBED
-from repro.hw.topology import MachineLike
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED, MachineSpec
 from repro.partitioned.aggregation import SignalMode
 from repro.units import us, GBps, MiB
 from repro.workload.base import ExecOutcome, Workload
@@ -42,10 +44,10 @@ FIG1011_GRIDS = (256, 1024, 4096)
 class ExhibitWorkload(Workload):
     """A paper exhibit: params are the sweep axes, result is one Series."""
 
-    def _execute(self, machine: Optional[MachineLike], shards, **params) -> ExecOutcome:
+    def _execute(self, machine: Optional[MachineSpec], shards, **params) -> ExecOutcome:
         return ExecOutcome(series=self._series(machine, **params))
 
-    def _series(self, machine: Optional[MachineLike], **params) -> Series:
+    def _series(self, machine: Optional[MachineSpec], **params) -> Series:
         raise NotImplementedError
 
 

@@ -64,8 +64,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.series import Series
-from repro.hw.spec.catalog import as_spec
-from repro.hw.topology import MachineLike
+from repro.hw.spec.schema import MachineSpec
 from repro.units import us
 from repro.workload.base import (
     ExecOutcome,
@@ -541,7 +540,7 @@ class _Board:
 # --------------------------------------------------------------------------
 
 def _replay_on_fabric(
-    machine: MachineLike, ops: Dict[int, List[tuple]], graphs: bool = False,
+    machine: MachineSpec, ops: Dict[int, List[tuple]], graphs: bool = False,
 ) -> dict:
     """Replay lowered ops on one engine + fabric; returns run facts.
 
@@ -685,9 +684,8 @@ class ReplayWorkload(Workload):
             return "cluster"
         return "world"
 
-    def _execute(self, machine: Optional[MachineLike], shards, **params) -> ExecOutcome:
+    def _execute(self, spec: MachineSpec, shards, **params) -> ExecOutcome:
         sched = self.schedule
-        spec = as_spec(machine)
         n_gpus = spec.n_gpus
         if sched.ranks > n_gpus:
             raise ReplayError(
@@ -705,7 +703,7 @@ class ReplayWorkload(Workload):
             return self._execute_cluster(spec, ops, shards)
         from repro.dataplane.graph import graphs_enabled
 
-        facts = _replay_on_fabric(machine, ops, graphs=graphs_enabled())
+        facts = _replay_on_fabric(spec, ops, graphs=graphs_enabled())
         series = self._series(facts["class_bytes"], facts["t_end"])
         extra = {"t_end": facts["t_end"], "ranks": sched.ranks,
                  "steps": len(sched.steps)}

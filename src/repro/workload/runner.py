@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.hw.topology import MachineLike
+from repro.hw.spec.schema import MachineSpec
 from repro.mpi.world import World
 
 
@@ -36,7 +36,7 @@ class RankRun:
 
 
 def run_ranks(
-    machine: MachineLike,
+    machine: MachineSpec,
     main: Callable,
     nprocs: Optional[int] = None,
     args: Sequence[Any] = (),

@@ -27,7 +27,6 @@ import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.hw.spec.catalog import as_spec
 from repro.workload.base import (
     Workload,
     WorkloadError,
@@ -41,7 +40,7 @@ from repro.workload.registry import resolve_spec
 
 def spec_hash(machine: Union[str, Any]) -> str:
     """SHA-256 of the resolved machine spec's canonical content."""
-    spec = as_spec(resolve_machine_arg(machine))
+    spec = resolve_machine_arg(machine)
     return sha256_hex(canonical_json(dataclasses.asdict(spec)))
 
 

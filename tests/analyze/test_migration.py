@@ -1,29 +1,31 @@
-"""The six repro.san.lint invariants, migrated onto the analyzer.
+"""The repro.san.lint invariants as the analyzer's invariant family.
 
-Two guarantees: (1) on the real tree the new framework reports *exactly*
-the findings the old linter reports, and (2) each rule still fires
-(positive) and stays quiet (negative) when driven through the analyzer.
+Two guarantees: (1) on the real tree the analyzer reports *exactly* the
+findings ``lint_source`` reports module by module, and (2) each rule
+fires (positive) and stays quiet (negative) when driven through the
+analyzer.
 """
 
 import textwrap
 
-from repro.san.lint import lint_tree
+from repro.san.lint import STATIC_CHECKS, _in_core, lint_source
 
 from .conftest import REPRO_SRC, rules_of
 
 
 def test_migrated_rules_report_identical_findings(analyze_path):
-    old = {(f.path, f.line, f.check) for f in lint_tree(REPRO_SRC)}
-    invariant_ids = [
-        "wallclock", "raw-units", "dropped-return",
-        "obs-bypass", "eager-obs-payload", "fabric-bypass",
-    ]
+    direct = {
+        (f.path, f.line, f.check)
+        for path in sorted(REPRO_SRC.rglob("*.py"))
+        if path.name != "units.py"
+        for f in lint_source(path.read_text(), str(path), scoped=_in_core(path))
+    }
     new = {
         (f.path, f.line, f.rule)
-        for f in analyze_path(REPRO_SRC, only=invariant_ids)
+        for f in analyze_path(REPRO_SRC, only=list(STATIC_CHECKS))
     }
-    assert new == old
-    assert old == set()          # and the tree itself is lint-clean
+    assert new == direct
+    assert direct == set()       # and the tree itself is lint-clean
 
 
 CASES = {
@@ -53,22 +55,29 @@ CASES = {
         "        obs.instant('lane', f'value {x}', 0)\n",
     ),
     "fabric-bypass": (
-        "def f(fabric, desc):\n    fabric.transfer(desc)\n",
+        "def f(engine, route, n):\n    return start_transfer(engine, route, n)\n",
         "def f(fabric, desc):\n    fabric.dataplane.put(desc)\n",
+    ),
+    "shard-shared-state": (
+        "def f(shard):\n    return shard.engine\n",
+        "def f(shard, msg):\n    shard.put(msg)\n",
+    ),
+    "workload-bypass": (
+        "def f(cfg, main):\n    return World(cfg).run(main)\n",
+        "def f(cfg, main):\n    return run_ranks(cfg, main)\n",
+    ),
+    "fabric-mutation-bypass": (
+        "def f(link):\n    link.up = False\n",
+        "def f(state, link):\n    state.down_link(link)\n",
     ),
 }
 
 
 def test_each_invariant_rule_positive_and_negative(analyze):
+    assert set(CASES) == set(STATIC_CHECKS)
     for rule, (bad, good) in CASES.items():
         core = "src/repro/sim/mod.py"
         hits = analyze({core: textwrap.dedent(bad)}, only=[rule])
         assert rules_of(hits) == [rule], f"{rule}: expected a finding"
         clean = analyze({core: textwrap.dedent(good)}, only=[rule])
         assert clean == [], f"{rule}: false positive on {clean}"
-
-
-def test_old_cli_shim_still_green_on_repo():
-    from repro.san.lint import main
-
-    assert main([str(REPRO_SRC)]) == 0

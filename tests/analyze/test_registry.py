@@ -1,4 +1,4 @@
-"""One registry: ids, families, and the three CLI listings that share it."""
+"""One registry: ids, families, and the CLI listings that share it."""
 
 from repro.analyze.registry import all_passes, all_rules, render_rules
 from repro.analyze.rules import FAMILIES
@@ -39,15 +39,11 @@ def test_migrated_ids_keep_their_summaries():
 
 
 def test_lint_cli_list_matches_analyzer_list(capsys):
+    """``analyze --list`` is the lint front-end's catalogue: the registry."""
     from repro.analyze.cli import main as analyze_main
-    from repro.san.lint import main as lint_main
 
     assert analyze_main(["--list"]) == 0
-    analyze_out = capsys.readouterr().out
-    assert lint_main(["--list"]) == 0
-    lint_out = capsys.readouterr().out
-    assert analyze_out == lint_out          # same registry, zero drift
-    assert analyze_out.strip() == render_rules()
+    assert capsys.readouterr().out.strip() == render_rules()
 
 
 def test_san_list_checks_covers_every_static_rule():
@@ -56,15 +52,17 @@ def test_san_list_checks_covers_every_static_rule():
         assert rule_id in text, f"{rule_id} missing from san --list-checks"
 
 
-def test_lint_repro_script_lists_same_registry(tmp_path):
+def test_analyze_module_lists_same_registry():
+    import os
     import subprocess
     import sys
 
     from .conftest import REPO_ROOT
 
     proc = subprocess.run(
-        [sys.executable, "scripts/lint_repro.py", "--list"],
+        [sys.executable, "-m", "repro", "analyze", "--list"],
         cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     for rule_id in EXPECTED_RULES:
         assert rule_id in proc.stdout

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.dl import DlConfig, run_dl
-from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.world import World
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.dl import DlConfig, run_dl
 from repro.apps.jacobi import JacobiConfig, run_jacobi, serial_jacobi
-from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED
 from repro.mpi.world import World
 
 

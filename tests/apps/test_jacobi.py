@@ -9,7 +9,7 @@ from repro.apps.jacobi import (
     run_jacobi,
     serial_jacobi,
 )
-from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.world import World
 

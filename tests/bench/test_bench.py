@@ -1,11 +1,15 @@
 """Bench harness: series container, renderer, decimated smoke runs."""
 
+import json
+import os
+
 import pytest
 
 from repro.bench.series import Series, render
-from repro.bench import figures
 from repro.bench.p2p import auto_transport_partitions, measure_p2p_goodput
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
+from repro.workload.exhibits import EXHIBIT_WORKLOADS
+from repro.workload.registry import get
 
 
 def test_series_add_and_columns():
@@ -41,30 +45,30 @@ def test_auto_transport_partitions_policy():
 
 
 def test_fig2_smoke_decimated():
-    s = figures.fig2(grids=(1, 256))
+    s = get("fig2").run(grids=(1, 256)).series
     assert len(s.rows) == 2
     assert s.rows[0]["sync_us"] == pytest.approx(7.8, abs=0.1)
 
 
 def test_fig3_smoke_decimated():
-    s = figures.fig3(threads=(1, 1024))
+    s = get("fig3").run(threads=(1, 1024)).series
     last = s.rows[-1]
     assert last["thread_us"] > last["warp_us"] > last["block_us"]
 
 
 def test_fig4_smoke_single_point():
-    s = figures.fig4(grids=(16,))
+    s = get("fig4").run(grids=(16,)).series
     row = s.rows[0]
     assert row["kernel_copy"] > row["sendrecv"]
 
 
 def test_exhibit_registry_complete():
-    assert set(figures.ALL_EXHIBITS) == {
+    assert {wl.name for wl in EXHIBIT_WORKLOADS} == {
         "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
         "table1", "fig8", "fig9", "fig10", "fig11",
     }
-    for fn in figures.ALL_EXHIBITS.values():
-        assert callable(fn)
+    for wl in EXHIBIT_WORKLOADS:
+        assert get(wl.name) is wl
 
 
 def test_bench_suite_has_graph_replay_entries():
@@ -91,3 +95,29 @@ def test_goodput_monotone_niceness():
     g_small = measure_p2p_goodput(4, "sendrecv", ONE_NODE)
     g_large = measure_p2p_goodput(256, "sendrecv", ONE_NODE)
     assert g_large > g_small
+
+
+def _baseline_dir(path, suite):
+    path.mkdir()
+    for pr in (9, 10):
+        (path / f"BENCH_pr{pr}.json").write_text(json.dumps({"pr": pr, "suite": suite}))
+    return path
+
+
+def test_bench_auto_baseline_excludes_only_the_output(tmp_path, monkeypatch):
+    from repro.perf.bench import resolve_baseline
+
+    monkeypatch.chdir(_baseline_dir(tmp_path / "base", {}))
+    outside = str(tmp_path / "run.json")
+    assert os.path.basename(resolve_baseline("auto", outside)) == "BENCH_pr10.json"
+    assert os.path.basename(resolve_baseline("auto", "BENCH_pr10.json")) == "BENCH_pr9.json"
+
+
+def test_bench_gate_fails_on_missing_baseline_entry(tmp_path, capsys):
+    from repro.perf.bench import main as bench_main
+
+    base = _baseline_dir(tmp_path / "base", {"other": {"events_popped": 1}})
+    out = str(tmp_path / "run.json")
+    rc = bench_main(["--suite", "pingpong", "--out", out, "--against", str(base)])
+    assert rc == 1
+    assert "pingpong: no baseline entry" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.telemetry import report, snapshot
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.spec import ONE_NODE, named_spec
 from repro.mpi.world import World
 from repro.partitioned.prequest import CopyMode
 from repro.partitioned import device as pdev
@@ -76,7 +76,7 @@ def test_intra_node_send_uses_no_nic():
 
 
 def test_inter_node_payload_crosses_nic_once():
-    config = TestbedConfig(n_nodes=2, gpus_per_node=1)
+    config = named_spec("gh200-2x1")
     world = World(config)
     n = 8192
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cuda.device import Device
-from repro.hw.params import ONE_NODE, PAPER_TESTBED, TestbedConfig
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED
 from repro.hw.topology import Fabric
 from repro.mpi.world import World
 from repro.sim.engine import Engine

@@ -123,7 +123,7 @@ def _eager(engine, gpu, launches):
 
 def test_graph_replay_time_identical_to_eager(engine, gpu):
     from repro.cuda.device import Device
-    from repro.hw.params import ONE_NODE
+    from repro.hw.spec import ONE_NODE
     from repro.hw.topology import Fabric
     from repro.sim.engine import Engine
 
@@ -141,7 +141,7 @@ def test_no_graphs_env_degrades_to_eager(engine, gpu, monkeypatch):
     t_env, hits_env = _capture_and_replay(engine, gpu, launches=2)
     monkeypatch.delenv("REPRO_NO_GRAPHS")
     from repro.cuda.device import Device
-    from repro.hw.params import ONE_NODE
+    from repro.hw.spec import ONE_NODE
     from repro.hw.topology import Fabric
     from repro.sim.engine import Engine
 

@@ -116,7 +116,7 @@ def test_memcpy_h2d_timing_and_data(engine, gpu):
 
     dt = engine.run(engine.process(host()))
     assert np.all(ddst.data == 5.0)
-    wire = n * 8 / gpu.fabric.config.params.c2c_bw
+    wire = n * 8 / gpu.fabric.spec.params.c2c_bw
     assert dt >= wire
 
 

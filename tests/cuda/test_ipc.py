@@ -5,7 +5,7 @@ import pytest
 
 from repro.cuda.ipc import IpcError, IpcMemHandle
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import PAPER_TESTBED
+from repro.hw.spec import PAPER_TESTBED
 from repro.hw.topology import Topology
 
 TOPO = Topology(PAPER_TESTBED)

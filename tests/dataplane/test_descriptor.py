@@ -5,7 +5,7 @@ import pytest
 
 from repro.dataplane import DescriptorError, TransferDescriptor
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 
@@ -66,9 +66,9 @@ def test_bad_initiator_flagged():
         TransferDescriptor(dev(0), dev(1), initiator="dma").validate()
 
 
-def test_fabric_shim_raises_descriptor_error():
-    """The legacy Fabric.transfer surface reports the byte-true check
-    (DescriptorError is a ValueError, preserving the old contract)."""
+def test_dataplane_put_raises_descriptor_error():
+    """Submission runs the byte-true check: same element count, different
+    dtype is a size mismatch."""
     fab = Fabric(Engine(), ONE_NODE)
-    with pytest.raises(ValueError, match="size mismatch"):
-        fab.transfer(dev(0), dev(1, dtype=np.float32))
+    with pytest.raises(DescriptorError, match="size mismatch"):
+        fab.dataplane.put(dev(0), dev(1, dtype=np.float32))

@@ -10,7 +10,7 @@ from repro.dataplane.graph import (
     graphs_enabled,
 )
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.hw.topology import Fabric
 from repro.sim.engine import STATS, Engine
 from repro.units import us

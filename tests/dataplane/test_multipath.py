@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from repro.dataplane import MultiPathPolicy
 from repro.dataplane.bench import measure_stripe_goodput, stripe_sweep
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE
-from repro.hw.spec import gh200_spec
+from repro.hw.spec import ONE_NODE, gh200_spec
 from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 from repro.units import MiB

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dataplane import Dataplane, MultiPathPolicy, SinglePathPolicy, policy_from_env
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.spec import ONE_NODE, named_spec
 from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 
@@ -89,7 +89,7 @@ def test_rma_put_stages_through_copy_engine():
 
 def test_rma_put_no_peer_mapping_goes_direct():
     """Inter-node D2D cannot IPC-map; rma_put must not touch a copy engine."""
-    engine, fab = _mk(TestbedConfig(n_nodes=2, gpus_per_node=1))
+    engine, fab = _mk(named_spec("gh200-2x1"))
     src, dst = dev(fab, 0, fill=2.0), dev(fab, 1)
 
     def body():

@@ -8,7 +8,7 @@ seed's SHA-256 sanitizer digests from tests/sim/test_determinism.py.
 
 import hashlib
 
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
 from repro.san import Sanitizer
 

@@ -4,13 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.hw.params import GH200Params, ONE_NODE, PAPER_TESTBED, TestbedConfig
+from repro.hw.params import GH200Params
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED, gh200_spec, named_spec
 from repro.units import GBps, us
 
 
 def test_paper_testbed_shape():
     assert PAPER_TESTBED.n_nodes == 2
-    assert PAPER_TESTBED.gpus_per_node == 4
+    assert PAPER_TESTBED.uniform_gpus_per_node == 4
     assert PAPER_TESTBED.n_gpus == 8
     assert ONE_NODE.n_gpus == 4
 
@@ -37,11 +38,10 @@ def test_with_overrides_returns_copy():
 
 
 def test_config_overrides_compose():
-    cfg = PAPER_TESTBED.with_overrides(
-        params=PAPER_TESTBED.params.with_overrides(ib_latency=10 * us)
-    )
+    cfg = PAPER_TESTBED.with_params(ib_latency=10 * us)
     assert cfg.params.ib_latency == pytest.approx(10 * us)
     assert cfg.n_nodes == 2
+    assert PAPER_TESTBED.params.ib_latency != cfg.params.ib_latency
 
 
 def test_fig3_ratio_constants():
@@ -55,13 +55,11 @@ def test_fig3_ratio_constants():
 
 
 def test_config_spec_roundtrip():
-    """TestbedConfig.spec() is the canonical GH200 spec with the same
-    shape and constants."""
-    spec = PAPER_TESTBED.spec()
-    assert spec.name == "gh200-2x4"
-    assert spec.n_gpus == PAPER_TESTBED.n_gpus
-    assert spec.params is PAPER_TESTBED.params
-    tuned = PAPER_TESTBED.with_overrides(
-        params=PAPER_TESTBED.params.with_overrides(ib_latency=10 * us)
-    )
-    assert tuned.spec().params.ib_latency == pytest.approx(10 * us)
+    """The paper's testbed is the catalog GH200 spec with default
+    constants; with_params swaps constants but keeps the machine."""
+    assert PAPER_TESTBED is named_spec("gh200-2x4")
+    assert PAPER_TESTBED == gh200_spec(2, 4)
+    assert PAPER_TESTBED.params == GH200Params()
+    tuned = PAPER_TESTBED.with_params(ib_latency=10 * us)
+    assert tuned.params.ib_latency == pytest.approx(10 * us)
+    assert (tuned.name, tuned.nodes) == (PAPER_TESTBED.name, PAPER_TESTBED.nodes)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.cuda.ipc import IpcError, IpcMemHandle
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import PAPER_TESTBED
 from repro.hw.spec import (
     GpuSpec,
     Interconnect,
@@ -19,7 +18,6 @@ from repro.hw.spec import (
     MachineSpec,
     NodeSpec,
     SpecError,
-    as_spec,
     dgx_nvswitch_spec,
     gh200_spec,
     named_spec,
@@ -112,7 +110,7 @@ def test_repeated_transfers_recompute_nothing():
     fab = Fabric(engine, gh200_spec(1, 4))
     src, dst = _buf(fab, MemSpace.DEVICE, gpu=0), _buf(fab, MemSpace.DEVICE, gpu=1)
     for _ in range(5):
-        engine.run(fab.transfer(src, dst))
+        engine.run(fab.dataplane.put(src, dst))
     assert fab.route_computations == 1
 
 
@@ -179,17 +177,8 @@ def test_switch_peers_can_ipc_map():
 
 
 # --------------------------------------------------------------------------
-# Spec schema and coercion
+# Spec schema
 # --------------------------------------------------------------------------
-
-def test_legacy_config_coerces_to_gh200_spec():
-    spec = as_spec(PAPER_TESTBED)
-    assert spec.name == "gh200-2x4"
-    assert spec.n_nodes == 2 and spec.n_gpus == 8
-    assert spec.params == PAPER_TESTBED.params
-    # Idempotent on an actual spec.
-    assert as_spec(spec) is spec
-
 
 def test_named_spec_lookup():
     assert named_spec("dgx-nvswitch").nodes[0].interconnect is Interconnect.SWITCH

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiStateError
 from repro.mpi.world import World
 

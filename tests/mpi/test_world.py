@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.params import ONE_NODE, PAPER_TESTBED
+from repro.hw.spec import ONE_NODE, PAPER_TESTBED
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.requests import Request, waitall
 from repro.mpi.world import World
@@ -65,7 +65,7 @@ def test_ctx_fields():
         assert ctx.comm.size == 3
         assert ctx.comm.rank == ctx.rank
         assert ctx.mpi.initialized
-        assert ctx.params is ctx.world.fabric.config.params
+        assert ctx.params is ctx.world.fabric.spec.params
         return True
 
     assert all(World(ONE_NODE).run(main, nprocs=3))

@@ -7,7 +7,7 @@ import pytest
 from repro.bench.telemetry import FabricSnapshot, snapshot
 from repro.cuda.kernel import BlockKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
 from repro.obs import bus as obs_bus
 from repro.obs.bus import SPAN, ObsEvent

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cuda.kernel import BlockKernel, UniformKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.spec import ONE_NODE, named_spec
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.world import World
 from repro.partitioned import device as pdev
@@ -14,7 +14,7 @@ from repro.partitioned.aggregation import AggregationSpec, SignalMode
 from repro.partitioned.prequest import CopyMode
 from repro.units import us
 
-INTER = TestbedConfig(n_nodes=2, gpus_per_node=1)
+INTER = named_spec("gh200-2x1")
 WORK = WorkSpec.vector_add()
 
 

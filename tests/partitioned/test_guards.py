@@ -6,7 +6,7 @@ import pytest
 from repro.cuda.device import Device
 from repro.cuda.kernel import BlockKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.world import World
 from repro.partitioned import device as pdev

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.spec import ONE_NODE, named_spec
 from repro.mpi.errors import MpiStateError, MpiUsageError
 from repro.mpi.world import World
 from repro.units import us
 
-INTER = TestbedConfig(n_nodes=2, gpus_per_node=1)
+INTER = named_spec("gh200-2x1")
 
 
 def _pair(sender_body, receiver_body):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.params import ONE_NODE, TestbedConfig
+from repro.hw.spec import ONE_NODE
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import MAX, SUM
 from repro.mpi.world import World
@@ -75,7 +75,7 @@ def test_rd_allreduce_max():
 
 
 def test_rd_eight_ranks_two_nodes():
-    from repro.hw.params import PAPER_TESTBED
+    from repro.hw.spec import PAPER_TESTBED
 
     for r in _run_rd(8, config=PAPER_TESTBED):
         assert np.all(r == 36.0)

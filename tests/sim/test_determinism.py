@@ -8,8 +8,7 @@ import pytest
 
 from repro.cuda.kernel import BlockKernel
 from repro.cuda.timing import WorkSpec
-from repro.hw.params import ONE_NODE, TestbedConfig
-from repro.hw.spec import gh200_spec
+from repro.hw.spec import ONE_NODE, gh200_spec, named_spec
 from repro.mpi.world import World
 from repro.partitioned import device as pdev
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
@@ -97,15 +96,16 @@ _SEED_TRACES = {
     "config,key",
     [
         (ONE_NODE, "one-node"),
-        (TestbedConfig(n_nodes=2, gpus_per_node=1), "two-node"),
+        (named_spec("gh200-2x1"), "two-node"),
         (gh200_spec(1, 4), "one-node"),
         (gh200_spec(2, 1), "two-node"),
     ],
     ids=["legacy-1x4", "legacy-2x1", "spec-1x4", "spec-2x1"],
 )
 def test_gh200_spec_trace_matches_pre_refactor_seed(config, key):
-    """Legacy configs and the equivalent MachineSpecs replay the seed's
-    byte-exact sanitized trace for a partitioned ping-pong."""
+    """The shared catalog machines and freshly built equivalent specs
+    replay the seed's byte-exact sanitized trace for a partitioned
+    ping-pong."""
     with Sanitizer() as san:
         _workload(World(config))
     assert san.report.ok

@@ -209,23 +209,9 @@ def test_determinism_two_identical_runs():
     assert build() == build()
 
 
-def test_trace_log_shim_still_works_but_warns():
-    with pytest.warns(DeprecationWarning, match="Engine.trace=True. is deprecated"):
-        eng = Engine(trace=True)
-
-    def proc():
-        eng.trace("begin")
-        yield eng.timeout(1.0)
-        eng.trace("end")
-
-    eng.run(eng.process(proc()))
-    assert eng.trace_log == [(0.0, "begin"), (1.0, "end")]
-
-
 def test_trace_disabled_by_default(engine):
-    engine.trace("ignored")
-    assert engine.trace_log == []
-    assert engine.obs is None and not engine.trace_enabled
+    engine.trace("ignored")  # no bus attached: a no-op
+    assert engine.obs is None
 
 
 def test_trace_reaches_bus_subscribers():

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.mpi.errors import MpiUsageError
 from repro.mpi.ops import BAND, BOR, LAND, LOR, NOP, SUM
 from repro.mpi.world import World
@@ -119,9 +119,23 @@ def test_unknown_allreduce_algorithm():
     assert all(World(ONE_NODE).run(main, nprocs=2))
 
 
-def test_cli_list_and_registry():
+def test_cli_list_and_registry(capsys):
     from repro.__main__ import main as cli_main
+    from repro.workload.exhibits import EXHIBIT_WORKLOADS
 
     assert cli_main(["list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [wl.name for wl in EXHIBIT_WORKLOADS]
+    assert len(listed) == 11
     with pytest.raises(SystemExit):
         cli_main(["nonexistent"])
+
+
+def test_cli_exhibit_prints_registry_series(capsys):
+    from repro.__main__ import main as cli_main
+    from repro.bench import render
+    from repro.workload.registry import get
+
+    assert cli_main(["fig2", "--grids", "4"]) == 0
+    expected = render(get("fig2").run(grids=(4,)).series)
+    assert capsys.readouterr().out == expected + "\n"

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cuda.device import Device
 from repro.hw.memory import Buffer, MemSpace
-from repro.hw.params import PAPER_TESTBED
+from repro.hw.spec import PAPER_TESTBED
 from repro.hw.topology import Fabric
 from repro.sim.engine import Engine
 from repro.ucx.context import UcpContext
@@ -38,7 +38,7 @@ def _bring_up(eng, fab, node_a=0, node_b=0, gpu_a=0, gpu_b=1):
 
 def test_context_and_worker_creation_costs(stack):
     eng, fab = stack
-    p = fab.config.params
+    p = fab.spec.params
 
     def boot():
         t0 = eng.now
@@ -139,7 +139,7 @@ def test_mem_map_registration_cache(stack):
         return first, second
 
     first, second = eng.run(eng.process(reg()))
-    assert first == pytest.approx(fab.config.params.ucp_mem_map_per_call)
+    assert first == pytest.approx(fab.spec.params.ucp_mem_map_per_call)
     assert second < first  # registration cache hit
 
 
@@ -244,6 +244,6 @@ def test_cuda_ipc_put_pays_engine_overhead(stack):
         return eng.now - t0
 
     dt = eng.run(eng.process(flow()))
-    p = fab.config.params
+    p = fab.spec.params
     wire = 16 * 8 / p.nvlink_bw + p.nvlink_latency
     assert dt == pytest.approx(wire + p.cuda_ipc_put_overhead)

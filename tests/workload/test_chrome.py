@@ -6,7 +6,7 @@ those events, so replaying the schedule on the same machine must
 reproduce the original run's per-class ledger byte and transfer counts.
 """
 
-from repro.hw.params import ONE_NODE
+from repro.hw.spec import ONE_NODE
 from repro.obs.bus import Bus, install, uninstall
 from repro.obs.chrome import ChromeTraceExporter, validate_trace
 from repro.workload import get
