@@ -33,7 +33,6 @@ class Device:
         cost: Optional[CostModel] = None,
         name: Optional[str] = None,
     ) -> None:
-        fabric.topo._check(gpu_id)
         self.fabric = fabric
         self.engine = fabric.engine
         self.gpu_id = gpu_id

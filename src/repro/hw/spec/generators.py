@@ -39,6 +39,13 @@ from repro.hw.spec.schema import (
 from repro.units import us
 
 
+def _require_positive(generator: str, **options: int) -> None:
+    """Reject zero/negative divisors before the shape arithmetic uses them."""
+    for option, value in options.items():
+        if value < 1:
+            raise SpecError(f"{generator}: {option} must be >= 1, got {value}")
+
+
 def fat_tree(
     gpus: int = 512,
     gpus_per_node: int = 8,
@@ -54,6 +61,7 @@ def fat_tree(
     running at twice the NIC rate that makes every rail plane
     non-blocking for uniform traffic.
     """
+    _require_positive("fat_tree", gpus_per_node=gpus_per_node, nodes_per_leaf=nodes_per_leaf)
     if gpus % gpus_per_node:
         raise SpecError(f"fat_tree: {gpus} gpus not divisible by {gpus_per_node}/node")
     nodes = gpus // gpus_per_node
@@ -88,6 +96,7 @@ def dragonfly(
 ) -> MachineSpec:
     """A dragonfly of GH200-style nodes: one router per group per rail,
     groups fully connected by global links."""
+    _require_positive("dragonfly", gpus_per_node=gpus_per_node, nodes_per_group=nodes_per_group)
     if gpus % gpus_per_node:
         raise SpecError(f"dragonfly: {gpus} gpus not divisible by {gpus_per_node}/node")
     nodes = gpus // gpus_per_node

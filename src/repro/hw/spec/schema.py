@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.hw.params import GH200Params
 
@@ -184,7 +184,18 @@ def _check_rail_nodes(spec: "MachineSpec", rails: int) -> None:
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """The whole machine: node templates + the inter-node fabric."""
+    """The whole machine: node templates + the inter-node fabric.
+
+    Construction also builds two lookup tables that every shape query
+    reads in O(1).  They are plain attributes, not dataclass fields, so
+    ``asdict``, ``==``, ``hash``, ``repr`` and the sweep-cache spec hash
+    see only the declared fields:
+
+    * ``gpu_bases`` -- prefix sums of GPUs per node; node ``n`` owns
+      global GPUs ``gpu_bases[n] .. gpu_bases[n + 1] - 1``, and
+      ``gpu_bases[-1]`` is the GPU count;
+    * ``gpu_owner`` -- the owning node of every global GPU.
+    """
 
     name: str
     nodes: Tuple[NodeSpec, ...]
@@ -200,6 +211,16 @@ class MachineSpec:
             raise SpecError("MachineSpec needs a name")
         if not self.nodes:
             raise SpecError("MachineSpec needs at least one node")
+        bases = [0]
+        owner: List[int] = []
+        for idx, node in enumerate(self.nodes):
+            owner.extend([idx] * node.n_gpus)
+            bases.append(len(owner))
+        counts = sorted({node.n_gpus for node in self.nodes})
+        # Frozen dataclass: the tables are set once, here, and never change.
+        object.__setattr__(self, "gpu_bases", tuple(bases))
+        object.__setattr__(self, "gpu_owner", tuple(owner))
+        object.__setattr__(self, "_uniform", counts[0] if len(counts) == 1 else None)
         if self.fabric is not None:
             self.fabric.check(self)
 
@@ -210,35 +231,33 @@ class MachineSpec:
 
     @property
     def n_gpus(self) -> int:
-        return sum(n.n_gpus for n in self.nodes)
+        return self.gpu_bases[-1]
 
     @property
     def uniform_gpus_per_node(self) -> Optional[int]:
-        counts = sorted({n.n_gpus for n in self.nodes})
-        return counts[0] if len(counts) == 1 else None
+        return self._uniform
 
     def gpu_base(self, node: int) -> int:
         """Global index of ``node``'s first GPU."""
         if not 0 <= node < self.n_nodes:
             raise IndexError(f"node {node} out of range (n_nodes={self.n_nodes})")
-        return sum(n.n_gpus for n in self.nodes[:node])
+        return self.gpu_bases[node]
 
     def node_of(self, gpu: int) -> int:
         if not 0 <= gpu < self.n_gpus:
             raise IndexError(f"gpu {gpu} out of range (n_gpus={self.n_gpus})")
-        base = 0
-        for idx, node in enumerate(self.nodes):
-            if gpu < base + node.n_gpus:
-                return idx
-            base += node.n_gpus
-        raise AssertionError("unreachable")  # pragma: no cover
+        return self.gpu_owner[gpu]
+
+    def local_index(self, gpu: int) -> int:
+        """Position of ``gpu`` on its node."""
+        return gpu - self.gpu_bases[self.node_of(gpu)]
 
     def node_spec_of(self, gpu: int) -> NodeSpec:
         return self.nodes[self.node_of(gpu)]
 
     def gpu_spec(self, gpu: int) -> GpuSpec:
         node = self.node_of(gpu)
-        return self.nodes[node].gpus[gpu - self.gpu_base(node)]
+        return self.nodes[node].gpus[gpu - self.gpu_bases[node]]
 
     # -- peer capability -----------------------------------------------------
     def can_peer_map(self, a: int, b: int) -> bool:
@@ -249,12 +268,10 @@ class MachineSpec:
         peer-map even within the node — the capability the sanitizer's
         ipc-misuse check and the UCX cuda_ipc transport selection key on.
         """
-        if a == b:
-            return True
         node = self.node_of(a)
         if node != self.node_of(b):
             return False
-        return self.nodes[node].interconnect is not Interconnect.HOST_STAGED
+        return a == b or self.nodes[node].interconnect is not Interconnect.HOST_STAGED
 
     def validate(self) -> None:
         """Raise :class:`SpecError` on inconsistency (dataclass hooks catch
@@ -274,8 +291,7 @@ class MachineSpec:
         """Fabric rail GPU ``gpu``'s NIC attaches to (0 when no fabric)."""
         if self.fabric is None:
             return 0
-        node = self.node_of(gpu)
-        return (gpu - self.gpu_base(node)) % self.fabric.rails
+        return self.local_index(gpu) % self.fabric.rails
 
     def with_params(self, **kw) -> "MachineSpec":
         """Copy with software/protocol constants overridden (ablations)."""

@@ -6,12 +6,19 @@ and acquire links in strictly increasing stage — the hierarchical order
 (tx < nic_out < nic_in < rx) that makes concurrent transfers deadlock-free.
 """
 
+import dataclasses
+import pickle
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cuda.ipc import IpcError, IpcMemHandle
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec import (
+    SPECS,
     GpuSpec,
     Interconnect,
     LinkClass,
@@ -24,6 +31,8 @@ from repro.hw.spec import (
     pcie_nop2p_spec,
 )
 from repro.hw.spec.cli import validate_spec
+from repro.hw.spec.generators import resolve_machine
+from repro.hw.spec.schema import FatTreeFabric
 from repro.hw.topology import Fabric, Topology
 from repro.sim.engine import Engine
 from repro.units import GBps, us
@@ -231,3 +240,134 @@ def test_world_runs_on_every_catalog_spec():
 
     for spec in ALL_SPECS:
         World(spec).run(main, nprocs=2)
+
+
+# --------------------------------------------------------------------------
+# Shape-query tables: O(1) lookups agree with a linear scan of the nodes
+# --------------------------------------------------------------------------
+
+def _scan_gpu_base(spec, node):
+    return sum(len(n.gpus) for n in spec.nodes[:node])
+
+
+def _scan_node_of(spec, gpu):
+    base = 0
+    for idx, node in enumerate(spec.nodes):
+        if gpu < base + len(node.gpus):
+            return idx
+        base += len(node.gpus)
+    raise AssertionError(f"gpu {gpu} past the last node")
+
+
+def _assert_matches_scan(spec):
+    n_gpus = sum(len(n.gpus) for n in spec.nodes)
+    counts = {len(n.gpus) for n in spec.nodes}
+    assert spec.n_gpus == n_gpus
+    assert spec.uniform_gpus_per_node == (counts.pop() if len(counts) == 1 else None)
+    topo = Topology(spec)
+    for n in range(spec.n_nodes):
+        base = _scan_gpu_base(spec, n)
+        assert spec.gpu_base(n) == base
+        assert topo.gpus_on_node(n) == list(range(base, base + len(spec.nodes[n].gpus)))
+    for g in range(n_gpus):
+        node = _scan_node_of(spec, g)
+        local = g - _scan_gpu_base(spec, node)
+        assert spec.node_of(g) == topo.node_of(g) == node
+        assert spec.local_index(g) == topo.local_index(g) == local
+        assert spec.gpu_spec(g) is spec.nodes[node].gpus[local]
+        rails = spec.fabric.rails if spec.fabric is not None else None
+        assert spec.rail_of(g) == (local % rails if rails else 0)
+
+
+def _assert_range_errors(spec):
+    topo = Topology(spec)
+    gpu_queries = [spec.node_of, spec.local_index, spec.gpu_spec, spec.node_spec_of,
+                   topo.node_of, topo.local_index]
+    if spec.fabric is not None:
+        gpu_queries.append(spec.rail_of)
+    for bad in (-1, spec.n_gpus):
+        msg = re.escape(f"gpu {bad} out of range (n_gpus={spec.n_gpus})")
+        for query in gpu_queries:
+            with pytest.raises(IndexError, match=msg):
+                query(bad)
+        with pytest.raises(IndexError, match=msg):
+            topo.can_peer_map(bad, bad)
+        with pytest.raises(IndexError, match=msg):
+            topo.can_peer_map(0, bad)
+    for bad in (-1, spec.n_nodes):
+        msg = re.escape(f"node {bad} out of range (n_nodes={spec.n_nodes})")
+        for query in (spec.gpu_base, topo.gpus_on_node):
+            with pytest.raises(IndexError, match=msg):
+                query(bad)
+
+
+_LINK = LinkClass("x", 100 * GBps, 1.0 * us)
+
+
+def _tagged_node(gpus, tag):
+    """A node whose GpuSpecs are distinguishable by ``sm_count``."""
+    return NodeSpec(
+        gpus=tuple(GpuSpec(sm_count=100 * tag + j) for j in range(gpus)),
+        interconnect=Interconnect.PAIR_MESH,
+        hbm=_LINK, d2h=_LINK, h2d=_LINK, hostmem=_LINK, d2d=_LINK,
+    )
+
+
+@st.composite
+def _machine_specs(draw):
+    """Heterogeneous node lists, flat or on a rail-optimized fat tree."""
+    rails = draw(st.sampled_from([None, 1, 2]))
+    per_leaf = draw(st.integers(1, 3)) if rails else 1
+    n_nodes = per_leaf * draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 4), min_size=n_nodes, max_size=n_nodes))
+    fabric = (
+        FatTreeFabric(rails=rails, nodes_per_leaf=per_leaf, spines_per_rail=1,
+                      trunk_up=_LINK, trunk_down=_LINK)
+        if rails else None
+    )
+    return MachineSpec(
+        name="prop",
+        nodes=tuple(_tagged_node(c * (rails or 1), i) for i, c in enumerate(counts)),
+        nic_out=_LINK, nic_in=_LINK, fabric=fabric,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_machine_specs())
+def test_shape_tables_match_linear_scan(spec):
+    _assert_matches_scan(spec)
+    _assert_range_errors(spec)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS) + [
+    "fat-tree-512", "dragonfly-512-g8", "fat-tree-64-r2-n8-l4-s2",
+])
+def test_catalog_and_generated_tables_match_linear_scan(name):
+    spec = resolve_machine(name)
+    _assert_matches_scan(spec)
+    _assert_range_errors(spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_machine_specs())
+def test_shape_tables_survive_copies(spec):
+    copies = [
+        spec.with_params(ib_bw=spec.params.ib_bw * 2),
+        dataclasses.replace(spec, name="renamed"),
+        pickle.loads(pickle.dumps(spec)),
+    ]
+    for copy in copies:
+        assert (copy.gpu_bases, copy.gpu_owner) == (spec.gpu_bases, spec.gpu_owner)
+        _assert_matches_scan(copy)
+    # A replace that changes the nodes rebuilds the tables from them.
+    cut = dataclasses.replace(spec, nodes=spec.nodes[:1], fabric=None)
+    assert cut.gpu_owner == (0,) * len(spec.nodes[0].gpus)
+    _assert_matches_scan(cut)
+
+
+def test_shape_tables_are_not_fields():
+    spec = resolve_machine("fat-tree-64-r2-n8-l4-s2")
+    twin = resolve_machine("fat-tree-64-r2-n8-l4-s2")
+    assert set(dataclasses.asdict(spec)) == {f.name for f in dataclasses.fields(MachineSpec)}
+    assert "gpu_owner" not in repr(spec) and "gpu_bases" not in repr(spec)
+    assert spec == twin and hash(spec) == hash(twin)

@@ -49,6 +49,16 @@ def test_unknown_option_rejected():
         parse_machine("fat-tree-512-z3")
 
 
+@pytest.mark.parametrize("name, option", [
+    ("fat-tree-64-n0", "gpus_per_node must be >= 1"),
+    ("fat-tree-64-n8-l0", "nodes_per_leaf must be >= 1"),
+    ("dragonfly-512-g0", "nodes_per_group must be >= 1"),
+])
+def test_zero_valued_options_raise_spec_error(name, option):
+    with pytest.raises(SpecError, match=option):
+        parse_machine(name)
+
+
 def test_resolve_machine_prefers_catalog():
     spec = resolve_machine("gh200-2x4")
     assert spec.fabric is None

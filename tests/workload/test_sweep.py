@@ -1,9 +1,12 @@
 """The sweep grid and its content-addressed cache."""
 
+import dataclasses
+
 import pytest
 
+from repro.hw.spec import MachineSpec
 from repro.workload.replay import ReplayWorkload, parse_jsonl
-from repro.workload.sweep import cell_key, run_sweep
+from repro.workload.sweep import cell_key, run_sweep, spec_hash
 from repro.workload.base import WorkloadError
 
 SCHED = (
@@ -54,6 +57,19 @@ def test_cell_key_sensitivity():
     # Same content parsed from a different source string: same key.
     same = ReplayWorkload(parse_jsonl(SCHED, source="elsewhere.jsonl"))
     assert cell_key("gh200-1x4", same, "single") == base
+
+
+@pytest.mark.parametrize("machine, digest", [
+    ("gh200-2x4", "c85543fa92a553f4779d8fc6cbf21750adb8b1206af0bb6d63e879e1c486a5f2"),
+    ("fat-tree-512", "0e6714c4f118b1a3463e0dfcc0370ea1d65afc5ba16c584de506a6bf0cb218c3"),
+])
+def test_spec_hash_pinned(machine, digest):
+    # The spec's lookup tables must stay out of asdict(): a leak would
+    # change every sweep-cache key without changing the machine.
+    assert spec_hash(machine) == digest
+    assert [f.name for f in dataclasses.fields(MachineSpec)] == [
+        "name", "nodes", "nic_out", "nic_in", "params", "fabric",
+    ]
 
 
 def test_sweep_rejects_empty_axes():
