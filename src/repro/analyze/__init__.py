@@ -3,8 +3,10 @@
 One :class:`~repro.analyze.model.Project` (module table, symbol tables,
 call graph, per-function CFGs) shared by four pass families:
 
-* ``invariant``   — the repo-invariant lint rules migrated off
-  :mod:`repro.san.lint` (same rule ids, same findings);
+* ``invariant``   — repo invariants: determinism and unit literals in
+  the core, dropped process returns, eager obs payloads, a ``syntax``
+  rule for modules that do not parse, and one ownership table
+  ("only package X may touch Y");
 * ``effects``     — DES coroutine effect checking: what can each
   simulation process generator yield, and are created waiters always
   awaited on every path;

@@ -11,7 +11,8 @@
     python -m repro analyze --write-baseline      # accept current findings
 
 Exit status: 0 when every finding is suppressed inline or baselined,
-1 when new findings exist, 2 on usage errors.  The baseline
+1 when new findings exist (a file that does not parse is a ``syntax``
+finding), 2 on usage errors and missing paths.  The baseline
 (``analyze-baseline.json``) pins known over-approximations by exact
 ``(rule, path, line)``; stale entries are reported as warnings so the
 file shrinks as code improves.
@@ -82,6 +83,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         project, kept, suppressed = analyze_paths(args.paths, only=args.rules)
     except ValueError as exc:
         print(f"analyze: {exc} (see --list)", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"analyze: no such file or directory: {exc.filename}",
+              file=sys.stderr)
         return 2
 
     baseline_path = Path(args.baseline)

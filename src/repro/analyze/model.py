@@ -1,7 +1,8 @@
 """The shared project model every analyzer pass consumes.
 
 One :class:`Project` holds the parsed AST of every module under the
-analyzed roots, a per-module symbol table (local defs + ``from X import
+analyzed roots (a module that does not parse keeps its ``SyntaxError``
+and an empty tree), a per-module symbol table (local defs + ``from X import
 Y`` edges into other project modules), the set of functions (including
 methods and nested defs) with generator-ness precomputed, and a
 best-effort interprocedural call graph.
@@ -113,6 +114,8 @@ class ModuleInfo:
     methods: Dict[Tuple[str, str], FunctionInfo] = field(default_factory=dict)
     #: line -> None (suppress all) | set of rule ids (see repro.analyze.suppress)
     suppressions: Dict[int, Optional[Set[str]]] = field(default_factory=dict)
+    #: why the source did not parse; ``tree`` is then an empty module
+    syntax_error: Optional[SyntaxError] = None
 
     def __hash__(self) -> int:
         return id(self)
@@ -136,8 +139,6 @@ class Project:
         root directory that is itself a package (holds ``__init__.py``)
         contributes its own name as the leading package segment.
         """
-        from repro.analyze.suppress import scan_suppressions
-
         project = cls()
         for root in paths:
             root = Path(root)
@@ -154,31 +155,34 @@ class Project:
                 name = ".".join(rel.with_suffix("").parts)
                 if name.endswith(".__init__"):
                     name = name[: -len(".__init__")]
-                source = f.read_text()
-                try:
-                    tree = ast.parse(source, filename=str(f))
-                except SyntaxError:
-                    continue  # the invariant pass reports syntax separately
-                mod = ModuleInfo(path=str(f), name=name, tree=tree, source=source)
-                mod.suppressions = scan_suppressions(source)
-                project._index_module(mod)
+                project._add_module(str(f), name, f.read_text())
         return project
 
     @classmethod
     def from_sources(cls, sources: Dict[str, str]) -> "Project":
         """Build a project from in-memory ``{path: source}`` (tests)."""
-        from repro.analyze.suppress import scan_suppressions
-
         project = cls()
         for path, source in sources.items():
             name = ".".join(Path(path).with_suffix("").parts)
-            tree = ast.parse(source, filename=path)
-            mod = ModuleInfo(path=path, name=name, tree=tree, source=source)
-            mod.suppressions = scan_suppressions(source)
-            project._index_module(mod)
+            project._add_module(path, name, source)
         return project
 
     # -- indexing ------------------------------------------------------------
+    def _add_module(self, path: str, name: str, source: str) -> None:
+        """Parse and index one module.  A module that does not parse is
+        kept with an empty tree and its ``syntax_error``, which the
+        invariant pass reports as the ``syntax`` rule."""
+        from repro.analyze.suppress import scan_suppressions
+
+        try:
+            tree, error = ast.parse(source, filename=path), None
+        except SyntaxError as exc:
+            tree, error = ast.Module(body=[], type_ignores=[]), exc
+        mod = ModuleInfo(path=path, name=name, tree=tree, source=source,
+                         syntax_error=error)
+        mod.suppressions = scan_suppressions(source)
+        self._index_module(mod)
+
     def _index_module(self, mod: ModuleInfo) -> None:
         self.modules.append(mod)
         self.by_name[mod.name] = mod

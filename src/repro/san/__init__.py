@@ -14,8 +14,9 @@ Three layers (see DESIGN.md §8 and README "Sanitizing a run"):
   before ``Parrived``, send-partition overwrite in flight, uninitialized
   device reads, cross-node IPC misuse).
 
-Static companion: :mod:`repro.san.lint` (AST repo-invariant checks),
-run by ``python -m repro analyze``.
+Static companion: the whole-program analyzer, ``python -m repro analyze``
+(:mod:`repro.analyze`), whose invariant family holds the repo-invariant
+rules.
 
 Usage::
 

@@ -91,6 +91,23 @@ def test_sarif_export_is_valid(capsys, tmp_path):
         "startLine"] == 4
 
 
+def test_unparsable_file_is_a_syntax_finding(capsys, tmp_path):
+    bad = tmp_path / "repro" / "sim" / "bad.py"
+    bad.parent.mkdir(parents=True)
+    bad.write_text("x = 1\ndef f(:\n    pass\n")
+    code, out = run(capsys, bad, "--no-baseline")
+    assert code == 1
+    assert f"{bad}:2: [syntax]" in out
+    assert "analyze: 1 finding(s)" in out
+
+
+def test_missing_path_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "nope.py"
+    assert main([str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"analyze: no such file or directory: {missing}"
+
+
 def test_fixture_dir_reports_every_family(capsys):
     code, out = run(capsys, FIXTURES, "--no-baseline")
     assert code == 1

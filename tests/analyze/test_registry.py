@@ -1,16 +1,16 @@
 """One registry: ids, families, and the CLI listings that share it."""
 
+from repro.analyze.passes import invariants
 from repro.analyze.registry import all_passes, all_rules, render_rules
 from repro.analyze.rules import FAMILIES
 from repro.san.cli import list_checks
-from repro.san.lint import STATIC_CHECKS
 
 EXPECTED_RULES = {
-    # migrated invariants
+    # invariants
     "wallclock", "raw-units", "dropped-return",
     "obs-bypass", "eager-obs-payload", "fabric-bypass",
     "shard-shared-state", "workload-bypass",
-    "fabric-mutation-bypass",
+    "fabric-mutation-bypass", "syntax",
     # effects
     "effect-illegal-yield", "effect-leaked-waiter",
     # determinism
@@ -33,9 +33,10 @@ def test_registry_contents_and_families():
 
 
 def test_migrated_ids_keep_their_summaries():
+    """Each invariant rule is declared once, in invariants.RULES."""
     rules = all_rules()
-    for cid, info in STATIC_CHECKS.items():
-        assert rules[cid].summary == info.summary
+    for rid, rule in invariants.RULES.items():
+        assert rules[rid] is rule
 
 
 def test_lint_cli_list_matches_analyzer_list(capsys):
