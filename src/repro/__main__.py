@@ -24,45 +24,57 @@
 from __future__ import annotations
 
 import argparse
+import importlib
+import os
 import sys
+from typing import Mapping
 
 from repro.bench import render
+from repro.sim.context import RunContext, using
+
+#: Subcommand -> (module, entry point); every entry takes the remaining argv.
+SUBCOMMANDS = {
+    "san": ("repro.san.cli", "main"),
+    "analyze": ("repro.analyze.cli", "main"),
+    "topo": ("repro.hw.spec.cli", "main"),
+    "profile": ("repro.obs.cli", "main"),
+    "bench": ("repro.perf.bench", "main"),
+    "sweep": ("repro.workload.cli", "main_sweep"),
+    "replay": ("repro.workload.cli", "main_replay"),
+    "fault": ("repro.workload.cli", "main_fault"),
+}
+
+
+def context_from_environ(environ: Mapping[str, str]) -> RunContext:
+    """The run context the ``REPRO_*`` variables in ``environ`` ask for
+    (DESIGN.md §18); empty values count as unset."""
+    try:
+        return RunContext(
+            policy=environ.get("REPRO_PATH_POLICY") or "single",
+            coalesce=not environ.get("REPRO_NO_COALESCE"),
+            graphs=not environ.get("REPRO_NO_GRAPHS"),
+        )
+    except ValueError as exc:  # the only field RunContext checks: policy
+        raise ValueError(f"REPRO_PATH_POLICY={exc}") from None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "san":
-        from repro.san.cli import main as san_main
+    try:
+        ctx = context_from_environ(os.environ)
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
+    if argv and argv[0] in SUBCOMMANDS:
+        module, entry = SUBCOMMANDS[argv[0]]
+        run, argv = getattr(importlib.import_module(module), entry), argv[1:]
+    else:
+        run = _exhibit_main
+    with using(ctx):
+        return run(argv)
 
-        return san_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        from repro.analyze.cli import main as analyze_main
 
-        return analyze_main(argv[1:])
-    if argv and argv[0] == "topo":
-        from repro.hw.spec.cli import main as topo_main
-
-        return topo_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from repro.obs.cli import main as profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.perf.bench import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        from repro.workload.cli import main_sweep
-
-        return main_sweep(argv[1:])
-    if argv and argv[0] == "replay":
-        from repro.workload.cli import main_replay
-
-        return main_replay(argv[1:])
-    if argv and argv[0] == "fault":
-        from repro.workload.cli import main_fault
-
-        return main_fault(argv[1:])
+def _exhibit_main(argv) -> int:
     from repro.workload.exhibits import EXHIBIT_WORKLOADS
 
     exhibits = {wl.name: wl for wl in EXHIBIT_WORKLOADS}

@@ -20,7 +20,7 @@ Four rules are hand-written because their shape is their own:
     formats before the call even when no bus is attached; in the core
     it must sit under an ``... obs is not None`` guard (DESIGN.md §11).
 
-The other five say "only package X may touch Y" and are rows of one
+The other six say "only package X may touch Y" and are rows of one
 :data:`OWNERSHIP` table, matched in a single walk of each module.  A
 module is exempt from a row when any component of its path names an
 owner, so ``tests/shard/...`` is as exempt as ``src/repro/shard/...``.
@@ -67,6 +67,9 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
          "link health outside repro/hw is mutated only via the LinkState "
          "API (down_link/restore_link/degrade_bandwidth) — direct field "
          "writes skip the fabric epoch bump"),
+    Rule("env-read", FAMILY,
+         "only the command-line edge (repro/__main__.py, perfbench) reads "
+         "the process environment — run configuration travels in the RunContext"),
     Rule("syntax", FAMILY,
          "every analyzed module must parse (the other rules cannot see it)"),
 )}
@@ -104,6 +107,10 @@ def _shard_shaped(recv: Optional[ast.AST]) -> bool:
     return isinstance(recv, ast.Attribute) and recv.attr == "shard"
 
 
+def _os(recv: Optional[ast.AST]) -> bool:
+    return isinstance(recv, ast.Name) and recv.id == "os"
+
+
 def _link_state_shaped(recv: Optional[ast.AST]) -> bool:
     # A bare ``self.epoch`` elsewhere (partitioned-comm epochs) is unrelated.
     return _tail(recv) in ("state", "link_state")
@@ -139,6 +146,9 @@ OWNERSHIP: Tuple[Owned, ...] = (
           ("workload", "mpi", "shard")),
     Owned("obs-bypass", CALL, ("print",), ("cli.py",), receiver=_bare,
           core_only=True),
+    # perfbench/run.py hands its environment to the measured worker.
+    Owned("env-read", ACCESS, ("environ", "getenv"), ("__main__.py", "perfbench"),
+          receiver=_os),
 )
 
 #: What each ownership rule tells the author to do instead.
@@ -162,6 +172,10 @@ GUIDANCE = {
     "obs-bypass":
         "in the deterministic core — publish an event on the repro.obs bus "
         "(DESIGN.md §10) or move output to a cli module",
+    "env-read":
+        "reads the process environment — take the setting from the engine's "
+        "RunContext (engine.ctx); python -m repro parses the REPRO_* "
+        "variables once (DESIGN.md §18)",
 }
 
 

@@ -112,9 +112,10 @@ class Stream:
         The recorded ops execute sequentially — the exact order and
         simulated timing of enqueueing each one individually — but the
         stream machinery runs once per launch instead of once per op.
-        Under ``REPRO_NO_GRAPHS`` (or any attached observer, which must
-        see per-op events) the launch degrades to per-op enqueues; both
-        paths return an event firing when the last op completed.
+        With graphs off in the run context (or any attached observer,
+        which must see per-op events) the launch degrades to per-op
+        enqueues; both paths return an event firing when the last op
+        completed.
         """
         from repro.dataplane.graph import GRAPHS, GraphError, graphs_enabled
 
@@ -132,7 +133,7 @@ class Stream:
         graph.launches += 1
         GRAPHS.launches += 1
         if (
-            graphs_enabled()
+            graphs_enabled(self.engine.ctx)
             and self.engine.obs is None
             and self.engine.on_step is None
         ):

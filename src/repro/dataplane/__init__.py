@@ -18,8 +18,9 @@ the descriptor, resolves routes over the
   rails inter-node) with deterministic chunking; completion fires at the
   max of the stripe arrivals.
 
-``REPRO_PATH_POLICY=multi`` selects the striping policy for a whole run
-(A/B knob, same contract as ``REPRO_NO_COALESCE``).  See DESIGN.md §12.
+A run context with ``policy="multi"`` (``REPRO_PATH_POLICY=multi`` on
+the ``python -m repro`` command line) selects the striping policy for a
+whole run.  See DESIGN.md §12 and §18.
 """
 
 from repro.dataplane.descriptor import DescriptorError, TransferDescriptor
@@ -30,7 +31,7 @@ from repro.dataplane.policy import (
     PathPolicy,
     SinglePathPolicy,
     Stripe,
-    policy_from_env,
+    policy_named,
 )
 
 __all__ = [
@@ -43,5 +44,5 @@ __all__ = [
     "SinglePathPolicy",
     "Stripe",
     "TransferDescriptor",
-    "policy_from_env",
+    "policy_named",
 ]

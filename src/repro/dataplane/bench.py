@@ -15,29 +15,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.bench.series import Series
-from repro.dataplane.policy import (
-    CongestionAwarePolicy,
-    MultiPathPolicy,
-    PathPolicy,
-    SinglePathPolicy,
-)
+from repro.dataplane.policy import policy_named
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec import ONE_NODE, MachineSpec
 from repro.hw.topology import Fabric
+from repro.sim.context import using
 from repro.sim.engine import Engine
 from repro.units import KiB, MiB, fmt_bytes
-
-
-def _mk_policy(policy) -> PathPolicy:
-    if isinstance(policy, PathPolicy):
-        return policy
-    if policy in (None, "", "single"):
-        return SinglePathPolicy()
-    if policy == "multi":
-        return MultiPathPolicy()
-    if policy == "congestion":
-        return CongestionAwarePolicy()
-    raise ValueError(f"unknown policy {policy!r}")
 
 
 def measure_stripe_goodput(
@@ -56,7 +40,7 @@ def measure_stripe_goodput(
     """
     engine = Engine()
     fabric = Fabric(engine, config)
-    fabric.dataplane.policy = _mk_policy(policy)
+    fabric.dataplane.policy = policy_named(policy)
     topo = fabric.topo
     n = max(nbytes // 8, 1)  # float64 elements
     src = Buffer.alloc_virtual(
@@ -147,13 +131,12 @@ def _pipelined_chunks(
     """
     from repro.dataplane.graph import GRAPHS
     from repro.dataplane.plane import FabricFault
-    from repro.hw.faults import fault_schedule
 
-    with fault_schedule(faults):
+    with using(faults=faults):
         engine = Engine()
-        fabric = Fabric(engine, config)
+    fabric = Fabric(engine, config)
     dp = fabric.dataplane.enable_plan_cache()
-    dp.policy = _mk_policy(policy)
+    dp.policy = policy_named(policy)
     topo = fabric.topo
     n = max(chunk_bytes // 8, 1)
     src = Buffer.alloc_virtual(n, space=MemSpace.DEVICE, node=topo.node_of(0), gpu=0)
@@ -245,7 +228,7 @@ def measure_congestion_goodput(
     """
     engine = Engine()
     fabric = Fabric(engine, config)
-    fabric.dataplane.policy = _mk_policy(policy)
+    fabric.dataplane.policy = policy_named(policy)
     topo = fabric.topo
     n = max(nbytes // 8, 1)
     pairs = [

@@ -32,17 +32,17 @@ costs, mirroring CUDA stream capture + graph launch:
     executed, CUDA semantics) and later replayed by one
     ``graph_launch`` stream op per iteration (:mod:`repro.cuda.stream`).
 
-The ``REPRO_NO_GRAPHS`` environment variable (any non-empty value)
-forces the eager path everywhere — the A/B knob CI uses to assert that
-simulated times and SHA-256 digests are unchanged by capture.
+A run context with ``graphs=False`` (``REPRO_NO_GRAPHS`` on the
+``python -m repro`` command line) forces the eager path everywhere — the
+A/B knob CI uses to assert that simulated times and SHA-256 digests are
+unchanged by capture.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs import bus as obs_bus
+from repro.sim.context import RunContext
 from repro.sim.engine import STATS, Engine
 
 
@@ -50,20 +50,17 @@ class GraphError(RuntimeError):
     """An invalid capture: cross-stream dependency, freed buffer, misuse."""
 
 
-def graphs_enabled() -> bool:
-    """True when capture/replay fast paths may run (DESIGN.md §16).
+def graphs_enabled(ctx: RunContext) -> bool:
+    """True when capture/replay fast paths may run under ``ctx`` (DESIGN.md §16).
 
     Graph replay collapses host-visible pops, so — like coalescing
     (DESIGN.md §11) — it is only legal when nothing observes individual
-    host pops: no ambient obs bus (its presence arms record hooks even
+    host pops: no bus in the context (its presence arms record hooks even
     before a subscriber appears).  Engine-local observers (``obs`` /
     ``on_step``) are checked by the call sites that own the engines.
-    ``REPRO_NO_GRAPHS`` forces the eager path for A/B equivalence runs.
+    ``ctx.graphs=False`` forces the eager path for A/B equivalence runs.
     """
-    return (
-        obs_bus._AMBIENT is None
-        and not os.environ.get("REPRO_NO_GRAPHS")
-    )
+    return ctx.graphs and ctx.bus is None
 
 
 class GraphCounters:

@@ -198,15 +198,12 @@ def _largest_remainder(total: int, weights: Sequence[float]) -> List[int]:
     return shares
 
 
-def policy_from_env(value: Optional[str]) -> PathPolicy:
-    """Map ``REPRO_PATH_POLICY`` to a policy instance ('' / None -> single)."""
-    if not value or value == "single":
+def policy_named(name: str) -> PathPolicy:
+    """A fresh policy instance for a run-context policy name."""
+    if name == "single":
         return SinglePathPolicy()
-    if value == "multi":
+    if name == "multi":
         return MultiPathPolicy()
-    if value == "congestion":
+    if name == "congestion":
         return CongestionAwarePolicy()
-    raise ValueError(
-        f"REPRO_PATH_POLICY={value!r} is not a known policy "
-        "(single|multi|congestion)"
-    )
+    raise ValueError(f"{name!r} is not a known policy (single|multi|congestion)")

@@ -7,16 +7,17 @@ fields — that any :class:`~repro.workload.base.Workload` run can plug in
 (``run(..., faults=...)``) and ``python -m repro fault`` drives from the
 command line.
 
-Installation is ambient, mirroring the path-policy axis: the schedule is
-made active around a run (:func:`fault_schedule`), and every
-:class:`~repro.hw.topology.Fabric` built while it is active installs the
-matching events on its engine as ordinary ``timeout_at`` heap entries
-whose callbacks call the :class:`~repro.hw.links.LinkState` mutation API.
-Because installation happens at fabric construction (before any workload
-process is spawned) and fires in simulated time, sequential and sharded
-drivers observe the identical fabric history — the multiprocessing
-executor's forked workers inherit the ambient schedule and re-install it
-per shard.
+Installation goes through the run context, like the path policy: a
+run sets the schedule as ``faults`` of its :class:`~repro.sim.context.
+RunContext` (``using(faults=sched)``), and every
+:class:`~repro.hw.topology.Fabric` whose engine captured that context
+installs the matching events on the engine as ordinary ``timeout_at``
+heap entries whose callbacks call the :class:`~repro.hw.links.LinkState`
+mutation API.  Because installation happens at fabric construction
+(before any workload process is spawned) and fires in simulated time,
+sequential and sharded drivers observe the identical fabric history —
+the multiprocessing executor hands its workers the context, and each
+re-installs the schedule per shard.
 
 Shard scoping: ``node`` restricts an event to one engine shard (shard
 fabrics name links with node-local indices, so ``swup0`` exists on every
@@ -29,9 +30,8 @@ to the links a fabric actually owns.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.topology import Fabric
@@ -149,52 +149,6 @@ class FaultSchedule:
         if shard_id is None:
             return list(self.events)
         return [ev for ev in self.events if ev.node is None or ev.node == shard_id]
-
-
-# --------------------------------------------------------------------------
-# ambient installation (mirrors the REPRO_PATH_POLICY axis)
-# --------------------------------------------------------------------------
-
-_AMBIENT: Optional[FaultSchedule] = None
-
-
-def active() -> Optional[FaultSchedule]:
-    """The schedule new fabrics install, or None."""
-    return _AMBIENT
-
-
-def install(sched: FaultSchedule) -> None:
-    global _AMBIENT
-    _AMBIENT = sched
-
-
-def uninstall() -> None:
-    global _AMBIENT
-    _AMBIENT = None
-
-
-@contextmanager
-def fault_schedule(sched: Union[FaultSchedule, str, None]):
-    """Make ``sched`` ambient for the duration of one run.
-
-    Accepts a :class:`FaultSchedule`, a JSONL path, or None (no-op, so
-    callers can thread an optional ``faults=`` argument straight through).
-    Nested installs restore the outer schedule on exit.
-    """
-    if sched is None:
-        yield None
-        return
-    if isinstance(sched, str):
-        sched = FaultSchedule.load(sched)
-    prev = _AMBIENT
-    install(sched)
-    try:
-        yield sched
-    finally:
-        if prev is None:
-            uninstall()
-        else:
-            install(prev)
 
 
 def install_on_fabric(fabric: "Fabric", sched: FaultSchedule) -> list:

@@ -81,15 +81,14 @@ class RouteError(Exception):
 
 
 class Fabric:
-    """All links of one machine plus route resolution and transfers."""
+    """All links of one machine plus route resolution and transfers.
 
-    #: Optional cross-run route persistence hook (see
-    #: :class:`repro.workload.sweep.RouteCacheStore`): an object with
-    #: ``preload(fabric)`` called at construction and
-    #: ``record(fabric, key, links)`` called on every route-cache miss.
-    #: Class-level so sweeps can install it once for every fabric a
-    #: workload builds internally; None = no persistence.
-    route_store = None
+    Run configuration comes from ``engine.ctx``: the fault schedule to
+    install, and the optional cross-run route store (``ctx.routes``,
+    see :class:`repro.workload.sweep.RouteCacheStore`) whose
+    ``preload(fabric)`` runs at construction and whose
+    ``record(fabric, key, links)`` runs on every route-cache miss.
+    """
 
     def __init__(
         self,
@@ -151,12 +150,12 @@ class Fabric:
         #: policy's call — see repro.dataplane and DESIGN.md §12.
         self.dataplane = Dataplane(self)
 
-        sched = hw_faults.active()
-        if sched is not None:
-            self.fault_events = hw_faults.install_on_fabric(self, sched)
+        ctx = engine.ctx
+        if ctx.faults is not None:
+            self.fault_events = hw_faults.install_on_fabric(self, ctx.faults)
 
-        if Fabric.route_store is not None:
-            Fabric.route_store.preload(self)
+        if ctx.routes is not None:
+            ctx.routes.preload(self)
 
     # -- link registry ---------------------------------------------------------
     def iter_links(self):
@@ -213,10 +212,11 @@ class Fabric:
             except RouteSearchError as exc:
                 raise RouteError(str(exc)) from exc
             self._route_cache[key] = cached
-            if Fabric.route_store is not None and not self.link_state.armed:
+            routes = self.engine.ctx.routes
+            if routes is not None and not self.link_state.armed:
                 # Routes found under mutated fabric state are epoch-local;
                 # only healthy-fabric routes are worth persisting.
-                Fabric.route_store.record(self, key, cached)
+                routes.record(self, key, cached)
         return cached
 
     # -- route-cache persistence ------------------------------------------------

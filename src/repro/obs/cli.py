@@ -7,9 +7,9 @@
     python -m repro profile pingpong_partitioned --chrome t.json --steps
 
 The target runs with ``__name__ == "__main__"`` exactly as if invoked
-directly; every ``World``/``Engine`` it creates attaches to an ambient
-:class:`~repro.obs.bus.Bus`.  Exit status: 0 on success, 2 when the
-target crashes.
+directly; every ``World``/``Engine`` it creates attaches to the
+:class:`~repro.obs.bus.Bus` its run context carries.  Exit status: 0 on
+success, 2 when the target crashes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from collections import Counter as _Tally
 from typing import List, Optional, Sequence
 
-from repro.obs import bus as obs_bus
+from repro.obs.bus import Bus
 from repro.obs.chrome import chrome_trace, validate_trace
 from repro.obs.profile import (
     Collector,
@@ -31,19 +31,18 @@ from repro.obs.profile import (
     utilization,
 )
 from repro.san.cli import resolve_target
+from repro.sim.context import using
 from repro.units import fmt_time
 
 
 def profile_script(path: str) -> List:
-    """Execute ``path`` as ``__main__`` under an ambient bus; return events."""
-    bus = obs_bus.Bus()
+    """Execute ``path`` as ``__main__`` with a bus in the run context;
+    return events."""
+    bus = Bus()
     collector = Collector()
     bus.subscribe(collector)
-    obs_bus.install(bus)
-    try:
+    with using(bus=bus):
         runpy.run_path(str(path), run_name="__main__")
-    finally:
-        obs_bus.uninstall()
     return collector.events
 
 

@@ -26,7 +26,7 @@ announces itself to the instrumentation bus at construction, the bus calls
 recent engine (simulations run one at a time).
 
 Since the :mod:`repro.obs` refactor the module-level hooks below publish
-onto the ambient obs bus as ``cat="san"`` instants carrying the raw call
+onto the run context's obs bus as ``cat="san"`` instants carrying the raw call
 arguments; :class:`Recorder` is a bus *subscriber* that rebuilds the exact
 pre-bus :class:`TraceEvent` stream from them (its own ``seq`` counter, its
 own clock), so sanitizer verdicts and trace bytes are unchanged.  The
@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import bus as _obs
+from repro.sim.context import current
 from repro.units import fmt_time
 
 try:  # numpy >= 2.0
@@ -148,11 +148,9 @@ class Recorder:
         return token
 
     # -- time ---------------------------------------------------------------
-    def note_engine(self, engine: Any) -> None:
+    def on_attach(self, engine: Any) -> None:
+        """Bus-subscriber attach hook: track the engine's clock."""
         self._engines.append(engine)
-
-    #: Bus-subscriber attach hook: track the engine's clock.
-    on_attach = note_engine
 
     @property
     def now(self) -> float:
@@ -262,10 +260,10 @@ class Recorder:
 # --------------------------------------------------------------------------
 # module-level hook surface (what instrumented code calls)
 #
-# The hooks publish ``cat="san"`` events onto the ambient obs bus; every
-# subscriber sees them (the profiler's timeline shows pready marks), and a
-# subscribed Recorder rebuilds its TraceEvent stream from them.  The gate
-# is one ``is None`` test on the ambient bus, exactly as before.
+# The hooks publish ``cat="san"`` events onto the current run context's
+# obs bus; every subscriber sees them (the profiler's timeline shows pready
+# marks), and a subscribed Recorder rebuilds its TraceEvent stream from
+# them.  The gate is one ``is None`` test on that bus.
 # --------------------------------------------------------------------------
 
 _ACTIVE: Optional[Recorder] = None
@@ -301,38 +299,38 @@ def on() -> bool:
 
 
 def note_alloc(buf: Any, zero_filled: bool) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, "alloc", None, buf=buf, zero_filled=zero_filled)
 
 
 def access(actor: Optional[Actor], buf: Any, write: bool, note: str = "") -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, ACCESS, actor, buf=buf, write=write, note=note)
 
 
 def acquire(actor: Actor, obj: SyncObj) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, ACQUIRE, actor, obj=obj)
 
 
 def release(actor: Actor, obj: SyncObj) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, RELEASE, actor, obj=obj)
 
 
 def mark(note: str, actor: Optional[Actor] = None, **info: Any) -> None:
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(CAT, MARK, actor, note=note, info=tuple(sorted(info.items())))
 
 
 def channel(note: str, buf: Any, **info: Any) -> None:
     """Mark channel geometry: the Recorder resolves ``buf`` to its alloc."""
-    bus = _obs._AMBIENT
+    bus = current().bus
     if bus is not None:
         bus.instant(
             CAT, "channel", None,

@@ -17,21 +17,23 @@ when the body raises, so guard-tripped runs still yield findings.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import List, Optional, Sequence
 
-from repro.obs import bus as obs_bus
+from repro.obs.bus import Bus
 from repro.san import record
 from repro.san.checks import run_checks
 from repro.san.report import Finding, Report
+from repro.sim.context import current, using
 
 
 class Sanitizer:
     """Records one window of simulation and checks it.
 
     Recording rides the :mod:`repro.obs` bus: entering subscribes a fresh
-    :class:`~repro.san.record.Recorder` to the ambient bus (installing a
-    private one when no profiler already installed theirs), so sanitizing
-    and profiling the same run compose.
+    :class:`~repro.san.record.Recorder` to the run context's bus (making
+    a private one current when no profiler already set theirs), so
+    sanitizing and profiling the same run compose.
 
     Parameters
     ----------
@@ -44,29 +46,24 @@ class Sanitizer:
         self.checks = list(checks) if checks is not None else None
         self.recorder: Optional[record.Recorder] = None
         self.report: Optional[Report] = None
-        self._bus: Optional[obs_bus.Bus] = None
-        self._own_bus = False
+        self._scope: Optional[ExitStack] = None
 
     # -- context management -------------------------------------------------
     def __enter__(self) -> "Sanitizer":
         self.recorder = record.Recorder()
         record.install(self.recorder)
-        bus = obs_bus.active()
+        self._scope = ExitStack()
+        bus = current().bus
         if bus is None:
-            bus = obs_bus.Bus()
-            obs_bus.install(bus)
-            self._own_bus = True
-        self._bus = bus
+            bus = self._scope.enter_context(using(bus=Bus())).bus
         bus.subscribe(self.recorder)
+        self._scope.callback(bus.unsubscribe, self.recorder)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        assert self._bus is not None
-        self._bus.unsubscribe(self.recorder)
-        if self._own_bus:
-            obs_bus.uninstall()
-        self._bus = None
-        self._own_bus = False
+        assert self._scope is not None
+        self._scope.close()
+        self._scope = None
         rec = record.uninstall()
         self.report = Report(
             findings=run_checks(rec.events, rec.allocs, only=self.checks),

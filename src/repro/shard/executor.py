@@ -13,7 +13,7 @@ Protocol (one round trip per window, messages are plain tuples):
 ====================================  =======================================
 coordinator -> worker                 worker -> coordinator
 ====================================  =======================================
-(build happens at fork)               ``("ready", {sid: peek})``
+(build happens in the forked worker)  ``("ready", {sid: peek})``
 ``("run", horizon, {sid: batch})``    ``("out", [ShardMessage], {sid: peek})``
 ``("finish",)``                       ``("result", [shard dicts])``
 ``("stop",)``                         (exit)
@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 from repro.shard.mailbox import WindowQueue
 from repro.shard.message import MessageDigest, ShardMessage
 from repro.shard.shard import Shard
+from repro.sim.context import RunContext, current, using
 from repro.sim.engine import STATS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,50 +53,52 @@ def _shard_blocks(n_shards: int, workers: int) -> List[List[int]]:
     return blocks
 
 
-def _worker_main(conn, job: "ClusterJob", sids: List[int]) -> None:
-    """Worker loop: build the shard block, then serve window requests."""
+def _worker_main(conn, job: "ClusterJob", sids: List[int], ctx: RunContext) -> None:
+    """Worker loop: build the shard block under the coordinator's run
+    context ``ctx``, then serve window requests."""
     try:
-        shards: Dict[int, Shard] = {
-            sid: Shard(
-                job.spec, sid, job.build, job.cfg,
-                wire=job.wire, collect_steps=job.collect_steps,
-            )
-            for sid in sids
-        }
-        conn.send(("ready", {sid: shards[sid].next_time() for sid in sids}))
-        while True:
-            req = conn.recv()
-            kind = req[0]
-            if kind == "run":
-                _, horizon, batches = req
-                outs: List[ShardMessage] = []
-                for sid in sids:  # ascending: matches the sequential driver
-                    outs.extend(
-                        shards[sid].step_window(horizon, batches.get(sid, []))
-                    )
-                conn.send(
-                    ("out", outs, {sid: shards[sid].next_time() for sid in sids})
+        with using(ctx):
+            shards: Dict[int, Shard] = {
+                sid: Shard(
+                    job.spec, sid, job.build, job.cfg,
+                    wire=job.wire, collect_steps=job.collect_steps,
                 )
-            elif kind == "finish":
-                conn.send(("result", [
-                    {
-                        "sid": sid,
-                        "done": s.done,
-                        "results": s.results() if s.done else None,
-                        "unmatched": s.mailbox.unmatched(),
-                        "events_popped": s.engine.events_popped,
-                        "snapshot": s.stats_snapshot(),
-                        "step_digest": s.step_digest(),
-                        "t_end": s.busy_time(),
-                        "bytes_by_class": s.bridge.bytes_by_class,
-                        "graph_launches": s.graph_launches(),
-                    }
-                    for sid, s in sorted(shards.items())
-                ]))
-            elif kind == "stop":
-                return
-            else:  # pragma: no cover - protocol bug
-                raise RuntimeError(f"unknown request {kind!r}")
+                for sid in sids
+            }
+            conn.send(("ready", {sid: shards[sid].next_time() for sid in sids}))
+            while True:
+                req = conn.recv()
+                kind = req[0]
+                if kind == "run":
+                    _, horizon, batches = req
+                    outs: List[ShardMessage] = []
+                    for sid in sids:  # ascending: matches the sequential driver
+                        outs.extend(
+                            shards[sid].step_window(horizon, batches.get(sid, []))
+                        )
+                    conn.send(
+                        ("out", outs, {sid: shards[sid].next_time() for sid in sids})
+                    )
+                elif kind == "finish":
+                    conn.send(("result", [
+                        {
+                            "sid": sid,
+                            "done": s.done,
+                            "results": s.results() if s.done else None,
+                            "unmatched": s.mailbox.unmatched(),
+                            "events_popped": s.engine.events_popped,
+                            "snapshot": s.stats_snapshot(),
+                            "step_digest": s.step_digest(),
+                            "t_end": s.busy_time(),
+                            "bytes_by_class": s.bridge.bytes_by_class,
+                            "graph_launches": s.graph_launches(),
+                        }
+                        for sid, s in sorted(shards.items())
+                    ]))
+                elif kind == "stop":
+                    return
+                else:  # pragma: no cover - protocol bug
+                    raise RuntimeError(f"unknown request {kind!r}")
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -124,15 +127,18 @@ class ShardedExecutor:
         n = job.spec.n_nodes
         # fork: workers inherit the job (spec, workload build fn, cfg)
         # without a pickle round-trip; only window traffic crosses pipes.
-        ctx = multiprocessing.get_context("fork")
+        # The run context is handed over as an argument, so what a worker
+        # builds under does not depend on what the fork happened to copy.
+        mp = multiprocessing.get_context("fork")
+        run_ctx = current()
         blocks = _shard_blocks(n, self.workers)
         conns: List[Tuple] = []   # (parent_conn, sids)
         procs = []
         try:
             for sids in blocks:
-                parent, child = ctx.Pipe()
-                p = ctx.Process(
-                    target=_worker_main, args=(child, job, sids), daemon=True
+                parent, child = mp.Pipe()
+                p = mp.Process(
+                    target=_worker_main, args=(child, job, sids, run_ctx), daemon=True
                 )
                 p.start()
                 child.close()

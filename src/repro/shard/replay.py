@@ -20,21 +20,19 @@ def build_replay(shard, cfg: dict) -> list:
     bridge-priced ``Shard.put`` messages keyed by the send key, which the
     receiving rank drains from its mailbox.
 
-    ``cfg["graphs"]`` (default False) asks the shard to replay as a
-    captured transfer graph: the identical rank generators run on a
-    private :class:`~repro.dataplane.graph.GraphEngine` behind one host
-    graph-launch event per window, with descriptor plans cached after
-    the first iteration.  Shards that cannot graph (shared reference
-    engine, observers, ``REPRO_NO_GRAPHS``) fall back to eager replay —
-    timestamps and digests are identical either way.
+    The shard replays as a captured transfer graph: the identical rank
+    generators run on a private :class:`~repro.dataplane.graph.GraphEngine`
+    behind one host graph-launch event per window, with descriptor plans
+    cached after the first iteration.  Shards that cannot graph (shared
+    reference engine, observers, graphs off in the run context) fall back
+    to eager replay — timestamps and digests are identical either way.
     """
     from repro.hw.memory import Buffer, MemSpace
     from repro.workload.replay import _Board
 
     import numpy as np
 
-    if cfg.get("graphs"):
-        shard.enter_graph_mode()
+    shard.enter_graph_mode()
     engine = shard.run_engine
     board = _Board(engine)
     dataplane = shard.fabric.dataplane
@@ -99,4 +97,4 @@ def build_replay(shard, cfg: dict) -> list:
     return procs
 
 
-REPLAY_CLUSTER_DEFAULTS: Dict[str, Any] = {"ops": {}, "graphs": False}
+REPLAY_CLUSTER_DEFAULTS: Dict[str, Any] = {"ops": {}}

@@ -215,7 +215,8 @@ class Shard:
         pops collapse to one per window.
 
         Returns the graph engine, or None when graph mode is unavailable
-        (shared host engine, attached observer, or ``REPRO_NO_GRAPHS``)
+        (shared host engine, attached observer, or graphs off in the run
+        context)
         — callers then simply stay on the eager shard engine.
         """
         from repro.dataplane.graph import GraphEngine, graphs_enabled
@@ -223,7 +224,7 @@ class Shard:
         if (
             self.engine.shard_id is None    # reference mode: shared engine
             or self.engine.obs is not None  # observers must see real pops
-            or not graphs_enabled()
+            or not graphs_enabled(self.engine.ctx)
         ):
             return None
         if getattr(self, "procs", None):  # unset while build() is running
@@ -236,8 +237,8 @@ class Shard:
         self.graph_engine = graph
         # Rebuild the node-local state on the graph engine; the bridge
         # object survives (it addresses whichever engine run_engine names).
-        # The eager fabric's fault timers (installed from the ambient
-        # schedule at construction) are cancelled first — the graph-engine
+        # The eager fabric's fault timers (installed from the run
+        # context's schedule at construction) are cancelled first — the graph-engine
         # fabric re-installs the schedule, and a stale host-heap timer
         # would mutate the orphaned fabric.
         for ev in self.fabric.fault_events:

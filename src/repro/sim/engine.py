@@ -18,12 +18,12 @@ is entered; nothing in the deterministic core attaches one mid-run.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout, _PooledTimeout
 from repro.sim.process import Process, ProcessFailed
 from repro.obs import bus as obs_bus
+from repro.sim import context as run_context
 
 
 class EmptySchedule(Exception):
@@ -95,10 +95,13 @@ class Engine:
         "_now", "_heap", "_seq", "_active_process", "_crashed",
         "obs", "on_step", "_timeout_pool", "t_busy",
         "events_popped", "events_coalesced", "events_cancelled", "peak_heap",
-        "_flushed", "shard_id", "__weakref__",
+        "_flushed", "shard_id", "ctx", "__weakref__",
     )
 
     def __init__(self) -> None:
+        #: The run context current at construction (repro.sim.context);
+        #: every layer built on this engine reads its configuration here.
+        self.ctx: run_context.RunContext = run_context.current()
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq: int = 0
@@ -131,7 +134,8 @@ class Engine:
         #: engine carry the shard id as actor provenance.  None = unsharded.
         self.shard_id: Optional[int] = None
         self._flushed = [0, 0, 0]  # popped/coalesced/cancelled already in STATS
-        obs_bus.note_engine(self)
+        if self.ctx.bus is not None:
+            self.ctx.bus.attach(self)
 
     # -- time --------------------------------------------------------------
     @property
@@ -218,16 +222,17 @@ class Engine:
 
         Coalescing collapses pops that have *no observable effect* — so it
         is only legal when nothing can observe individual pops: no attached
-        bus, no ``on_step`` hook, no ambient bus (whose presence arms the
-        sanitizer's record hooks even before a subscriber appears).  The
-        ``REPRO_NO_COALESCE`` environment variable (any non-empty value)
-        forces the exact path for A/B equivalence testing.
+        bus, no ``on_step`` hook, no bus in the run context (whose presence
+        arms the sanitizer's record hooks even before a subscriber
+        appears).  ``ctx.coalesce=False`` (``REPRO_NO_COALESCE`` on the
+        command line) forces the exact path for A/B equivalence testing.
         """
+        ctx = self.ctx
         return (
             self.obs is None
             and self.on_step is None
-            and obs_bus._AMBIENT is None
-            and not os.environ.get("REPRO_NO_COALESCE")
+            and ctx.bus is None
+            and ctx.coalesce
         )
 
     # -- main loop ------------------------------------------------------------

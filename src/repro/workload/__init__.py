@@ -15,9 +15,9 @@ this registry with a content-addressed result cache
 (:mod:`repro.workload.sweep`).
 """
 
+from repro.sim.context import POLICY_NAMES
 from repro.workload.base import (
     ExecOutcome,
-    POLICY_NAMES,
     Workload,
     WorkloadError,
     WorkloadResult,

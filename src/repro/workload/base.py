@@ -3,7 +3,7 @@
 A :class:`Workload` declares a name, a default machine, and an
 ``_execute`` body; :meth:`Workload.run` supplies everything around it —
 machine resolution (names or :class:`~repro.hw.spec.schema.MachineSpec`),
-path-policy selection,
+the run context (path policy and fault schedule, :mod:`repro.sim.context`),
 ``events_popped`` accounting against the module :data:`~repro.sim.engine.
 STATS` singleton, and the SHA-256 series digest — and returns a typed
 :class:`WorkloadResult`.
@@ -25,23 +25,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Union
 
 from repro.bench.series import Series
 from repro.hw.spec.schema import MachineSpec
+from repro.sim.context import current, using
 from repro.sim.engine import STATS
 
 
 class WorkloadError(Exception):
     """A workload was misconfigured or asked to run somewhere it cannot."""
-
-
-#: Path-policy axis values (``PathPolicy.name`` strings); None = ambient
-#: default (the ``REPRO_PATH_POLICY`` environment, usually single-path).
-POLICY_NAMES = ("single", "multi", "congestion")
 
 
 # --------------------------------------------------------------------------
@@ -81,7 +75,7 @@ def series_digest(series: Series) -> str:
 
 
 # --------------------------------------------------------------------------
-# machine + policy resolution
+# machine resolution
 # --------------------------------------------------------------------------
 
 def resolve_machine_arg(machine: Union[str, MachineSpec]) -> MachineSpec:
@@ -91,34 +85,6 @@ def resolve_machine_arg(machine: Union[str, MachineSpec]) -> MachineSpec:
 
         return resolve_machine(machine)
     return machine
-
-
-@contextmanager
-def path_policy(policy: Optional[str]):
-    """Pin ``REPRO_PATH_POLICY`` for the duration of one workload run.
-
-    ``None`` leaves the ambient environment untouched (workloads built
-    before the policy axis existed ran under whatever the environment
-    said; keeping that behaviour keeps their outputs pinned).
-    """
-    if policy is None:
-        yield
-        return
-    from repro.dataplane.policy import policy_from_env
-
-    try:
-        policy_from_env(policy)  # validate the name before touching env
-    except ValueError as exc:
-        raise WorkloadError(str(exc)) from exc
-    prev = os.environ.get("REPRO_PATH_POLICY")
-    os.environ["REPRO_PATH_POLICY"] = policy
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_PATH_POLICY", None)
-        else:
-            os.environ["REPRO_PATH_POLICY"] = prev
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +110,7 @@ class WorkloadResult:
 
     workload: str
     machine: str
-    policy: str                 # "single" / "multi" / "default"
+    policy: str                 # the policy name the run used
     mode: str
     series: Series
     digests: Dict[str, str]     # always includes "series"
@@ -229,13 +195,13 @@ class Workload:
         multiprocessing executor (results are pinned bit-identical to the
         sequential driver, DESIGN.md §14).
 
-        ``faults`` plugs a :class:`~repro.hw.faults.FaultSchedule` (or a
-        JSONL path) into the run: every fabric the workload builds installs
-        the schedule's link mutations on its own timeline (DESIGN.md §17).
-        ``None`` — the default — leaves the fabric immutable and the run's
-        outputs bit-identical to a build without the fault layer.
+        ``policy`` (a path-policy name) and ``faults`` (a
+        :class:`~repro.hw.faults.FaultSchedule` or a JSONL path, whose link
+        mutations every fabric the workload builds installs, DESIGN.md
+        §17) are set in the run context for the body (DESIGN.md §18);
+        ``None`` keeps the current context's value.
         """
-        from repro.hw.faults import fault_schedule
+        from repro.hw.faults import FaultSchedule
 
         resolved = self.resolve_machine(machine)
         if shards is not None and not self.supports_shards:
@@ -243,8 +209,19 @@ class Workload:
                 f"workload {self.name!r} runs on a single engine; "
                 "shards=N applies to cluster workloads only"
             )
+        changes: Dict[str, Any] = {}
+        if policy is not None:
+            changes["policy"] = policy
+        if faults is not None:
+            changes["faults"] = (
+                FaultSchedule.load(faults) if isinstance(faults, str) else faults
+            )
+        try:
+            ctx = replace(current(), **changes)
+        except ValueError as exc:
+            raise WorkloadError(str(exc)) from exc
         merged = {**self.defaults, **params}
-        with fault_schedule(faults), path_policy(policy):
+        with using(ctx):
             before = STATS.snapshot()["events_popped"]
             outcome = self._execute(resolved, shards, **merged)
             popped = (
@@ -256,7 +233,7 @@ class Workload:
         return WorkloadResult(
             workload=self.name,
             machine=resolved.name if resolved is not None else "exhibit-canonical",
-            policy=policy if policy is not None else "default",
+            policy=ctx.policy,
             mode=outcome.mode,
             series=outcome.series,
             digests=digests,

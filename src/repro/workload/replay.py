@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.series import Series
 from repro.hw.spec.schema import MachineSpec
+from repro.sim.context import current
 from repro.units import us
 from repro.workload.base import (
     ExecOutcome,
@@ -703,7 +704,7 @@ class ReplayWorkload(Workload):
             return self._execute_cluster(spec, ops, shards)
         from repro.dataplane.graph import graphs_enabled
 
-        facts = _replay_on_fabric(spec, ops, graphs=graphs_enabled())
+        facts = _replay_on_fabric(spec, ops, graphs=graphs_enabled(current()))
         series = self._series(facts["class_bytes"], facts["t_end"])
         extra = {"t_end": facts["t_end"], "ranks": sched.ranks,
                  "steps": len(sched.steps)}
@@ -718,12 +719,11 @@ class ReplayWorkload(Workload):
         )
 
     def _execute_cluster(self, spec, ops, shards) -> ExecOutcome:
-        from repro.dataplane.graph import graphs_enabled
         from repro.shard import ClusterJob
 
         job = ClusterJob(
             spec, "replay",
-            cfg={"ops": ops, "graphs": graphs_enabled()},
+            cfg={"ops": ops},
             collect_steps=True,
         )
         result = job.run(workers=shards)

@@ -8,7 +8,7 @@ contract.  Each cell's result is cached under a content-addressed key::
     sha256(canonical_json({
         "spec":     sha256(canonical_json(asdict(machine_spec))),
         "workload": sha256(canonical_json(workload.fingerprint(**params))),
-        "policy":   policy or "default",
+        "policy":   policy name the cell runs under,
     }))
 
 so a cache hit means *this exact machine shape, workload content, and
@@ -23,10 +23,12 @@ cache entries.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from repro.sim.context import current, using
 from repro.workload.base import (
     Workload,
     WorkloadError,
@@ -54,11 +56,16 @@ def cell_key(
     policy: Optional[str],
     params: Optional[dict] = None,
 ) -> str:
-    """The content-addressed cache key for one sweep cell."""
+    """The content-addressed cache key for one sweep cell.
+
+    The key names the policy the cell actually runs under: ``None`` is
+    the run context's policy, so a ``REPRO_PATH_POLICY=multi`` sweep
+    never shares a key with a single-path one.
+    """
     return sha256_hex(canonical_json({
         "spec": spec_hash(machine),
         "workload": workload_hash(workload, params),
-        "policy": policy if policy is not None else "default",
+        "policy": policy or current().policy,
     }))
 
 
@@ -139,8 +146,8 @@ class SweepCache:
 class RouteCacheStore:
     """Cross-run route-cache persistence, keyed by machine-spec hash.
 
-    Installed as :attr:`repro.hw.topology.Fabric.route_store` for the
-    duration of a sweep: every fabric the sweep's workloads build —
+    Set as the run context's ``routes`` for the duration of a sweep:
+    every fabric the sweep's workloads build —
     including each shard's node-local fabric — preloads the routes a
     previous run resolved for the *same spec content* and records any
     new resolutions.  :meth:`flush` writes one
@@ -225,10 +232,9 @@ def run_sweep(
     caching is on, resolved fabric routes persist across runs per
     machine-spec hash (see :class:`RouteCacheStore`).  ``shards``
     applies only to shard-capable workloads; others run on their single
-    engine regardless.
+    engine regardless.  A ``None`` policy is the run context's policy,
+    resolved before the cell is keyed.
     """
-    from repro.hw.topology import Fabric
-
     say = printer if printer is not None else (lambda _msg: None)
     cache = SweepCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
     resolved: List[Workload] = [
@@ -238,50 +244,44 @@ def run_sweep(
         raise WorkloadError("sweep needs at least one workload")
     if not machines:
         raise WorkloadError("sweep needs at least one machine")
-    route_store = None
-    prev_store = Fabric.route_store
-    if cache_dir:
-        route_store = RouteCacheStore(os.path.join(cache_dir, ROUTES_SUBDIR))
-        Fabric.route_store = route_store
+    routes = RouteCacheStore(os.path.join(cache_dir, ROUTES_SUBDIR)) if cache_dir else None
     cells: List[dict] = []
     hits = misses = 0
+    wl_params = params or {}
     try:
-        for wl in resolved:
-            wl_params = params or {}
-            for machine in machines:
-                for policy in policies:
-                    key = cell_key(machine, wl, policy, wl_params)
-                    label = f"{wl.name} × {machine} × {policy or 'default'}"
-                    cached = cache.load(key) if cache is not None else None
-                    if cached is not None:
-                        hits += 1
-                        say(f"HIT  {label}  [{key[:12]}]")
-                        result = cached
-                    else:
-                        misses += 1
-                        say(f"MISS {label}  [{key[:12]}] -> running")
-                        use_shards = shards if wl.supports_shards else None
-                        result = wl.run(
-                            machine=machine, policy=policy, shards=use_shards,
-                            **wl_params,
-                        )
-                        if cache is not None:
-                            cache.store(key, result)
-                    cells.append({
-                        "key": key,
-                        "workload": wl.name,
-                        "machine": machine,
-                        "policy": policy if policy is not None else "default",
-                        "cached": cached is not None,
-                        "result": result.as_dict(),
-                    })
+        with using(routes=routes) as ctx:
+            for wl, machine, axis_policy in itertools.product(resolved, machines, policies):
+                policy = axis_policy or ctx.policy
+                key = cell_key(machine, wl, policy, wl_params)
+                label = f"{wl.name} × {machine} × {policy}"
+                cached = cache.load(key) if cache is not None else None
+                if cached is not None:
+                    hits += 1
+                    say(f"HIT  {label}  [{key[:12]}]")
+                    result = cached
+                else:
+                    misses += 1
+                    say(f"MISS {label}  [{key[:12]}] -> running")
+                    use_shards = shards if wl.supports_shards else None
+                    result = wl.run(
+                        machine=machine, policy=policy, shards=use_shards, **wl_params,
+                    )
+                    if cache is not None:
+                        cache.store(key, result)
+                cells.append({
+                    "key": key,
+                    "workload": wl.name,
+                    "machine": machine,
+                    "policy": policy,
+                    "cached": cached is not None,
+                    "result": result.as_dict(),
+                })
     finally:
-        Fabric.route_store = prev_store
-        if route_store is not None:
-            route_store.flush()
+        if routes is not None:
+            routes.flush()
     out = {"cells": cells, "hits": hits, "misses": misses}
     if cache is not None and cache.evicted:
         out["evicted"] = cache.evicted
-    if route_store is not None:
-        out["routes_preloaded"] = route_store.preloaded
+    if routes is not None:
+        out["routes_preloaded"] = routes.preloaded
     return out

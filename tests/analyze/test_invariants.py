@@ -221,6 +221,26 @@ CASES = [
             up = link.up
             state.down_link(link)
     """, [], "unscoped_epoch_reads_and_api_pass"),
+    # -- env-read -------------------------------------------------------------
+    case("env-read", "src/repro/dataplane/plane.py", """\
+        import os
+
+        def f():
+            a = os.environ.get("REPRO_PATH_POLICY")
+            b = os.getenv("REPRO_NO_GRAPHS")
+            os.environ["X"] = "1"
+            return a, b
+    """, [4, 5, 6], "env_reads_outside_the_edge_flagged"),
+    case("env-read", "src/repro/__main__.py",
+         "import os\n\ndef main():\n    return dict(os.environ)\n", [],
+         "cli_entry_point_reads_env"),
+    case("env-read", "perfbench/run.py",
+         "import os\n\nENV = dict(os.environ, PYTHONPATH='src')\n", [],
+         "perfbench_passes_env_to_its_worker"),
+    case("env-read", BENCH, """\
+        def f(ctx, environ, proc):
+            return ctx.environ, environ.get("X"), proc.getenv("Y")
+    """, [], "non_os_receivers_pass"),
     # -- syntax ---------------------------------------------------------------
     case("syntax", SIM, "x = 1\ndef f(:\n    pass\n", [2], "unparsable_module_reported"),
     case("syntax", BENCH, "def f():\n    pass\n", [], "parsable_module_passes"),

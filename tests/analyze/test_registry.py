@@ -10,7 +10,7 @@ EXPECTED_RULES = {
     "wallclock", "raw-units", "dropped-return",
     "obs-bypass", "eager-obs-payload", "fabric-bypass",
     "shard-shared-state", "workload-bypass",
-    "fabric-mutation-bypass", "syntax",
+    "fabric-mutation-bypass", "env-read", "syntax",
     # effects
     "effect-illegal-yield", "effect-leaked-waiter",
     # determinism

@@ -118,16 +118,14 @@ def test_bus_counters_match_link_snapshot_delta(mode):
     """LinkFlowCounters (event-derived) agrees with the in-place counters
     (snapshot delta) for every link class a run touched."""
     from repro.bench.telemetry import LinkFlowCounters
-    from repro.obs import bus as obs_bus
+    from repro.obs.bus import Bus
+    from repro.sim.context import using
 
-    bus = obs_bus.Bus()
+    bus = Bus()
     flows = LinkFlowCounters()
     bus.subscribe(flows)
-    obs_bus.install(bus)
-    try:
+    with using(bus=bus):
         world, snaps = _partitioned_send(mode)
-    finally:
-        obs_bus.uninstall()
     end = snapshot(world.fabric)
     # Events cover the whole run; compare against a zero 'before'.
     from repro.bench.telemetry import FabricSnapshot

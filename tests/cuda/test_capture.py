@@ -136,18 +136,17 @@ def test_graph_replay_time_identical_to_eager(engine, gpu):
     assert len(graph_hits) == 6       # 2 kernels x 3 launches
 
 
-def test_no_graphs_env_degrades_to_eager(engine, gpu, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-    t_env, hits_env = _capture_and_replay(engine, gpu, launches=2)
-    monkeypatch.delenv("REPRO_NO_GRAPHS")
+def test_no_graphs_env_degrades_to_eager(engine, gpu):
     from repro.cuda.device import Device
     from repro.hw.spec import ONE_NODE
     from repro.hw.topology import Fabric
+    from repro.sim.context import using
     from repro.sim.engine import Engine
 
-    e2 = Engine()
-    gpu2 = Device(Fabric(e2, ONE_NODE), 0)
-    t_on, hits_on = _capture_and_replay(e2, gpu2, launches=2)
+    with using(graphs=False):
+        e_off = Engine()
+    t_env, hits_env = _capture_and_replay(e_off, Device(Fabric(e_off, ONE_NODE), 0), 2)
+    t_on, hits_on = _capture_and_replay(engine, gpu, launches=2)
     assert t_env == t_on              # A/B: same simulated completion time
     assert hits_env == hits_on
 

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.dataplane import MultiPathPolicy, SinglePathPolicy, policy_from_env
+from repro.dataplane import MultiPathPolicy, SinglePathPolicy, policy_named
 from repro.dataplane.graph import GRAPHS
 from repro.dataplane.ledger import Ledger
 from repro.dataplane.plane import FabricFault
 from repro.dataplane.policy import CongestionAwarePolicy
-from repro.hw.faults import FaultEvent, FaultSchedule, fault_schedule
+from repro.hw.faults import FaultEvent, FaultSchedule
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.generators import resolve_machine
 from repro.hw.topology import Fabric
+from repro.sim.context import using
 from repro.sim.engine import Engine
 from repro.units import MiB
 
@@ -46,7 +47,7 @@ def _chunked_run(fault_t=None, chunks=8, chunk_bytes=MiB):
     sched = None
     if fault_t is not None:
         sched = FaultSchedule([FaultEvent(fault_t, "nvl0->1", "down")])
-    with fault_schedule(sched):
+    with using(faults=sched):
         engine, fab = _mk(policy=SinglePathPolicy())
     dp = fab.dataplane
     pairs = [(dev(fab, 0, n=chunk_bytes, fill=i + 1), dev(fab, 1, n=chunk_bytes))
@@ -167,7 +168,7 @@ def test_outstanding_bytes_drain_after_clean_run():
 def test_outstanding_bytes_drain_after_faulted_run():
     healthy_t, *_ = _chunked_run(fault_t=None)
     sched = FaultSchedule([FaultEvent(healthy_t / 2, "nvl0->1", "down")])
-    with fault_schedule(sched):
+    with using(faults=sched):
         engine, fab = _mk(policy=SinglePathPolicy())
     src, dst = dev(fab, 0, n=MiB, fill=5), dev(fab, 1, n=MiB)
 
@@ -213,8 +214,8 @@ def test_linkdown_abort_discharges_via_finally():
 
 # -- congestion-aware policy --------------------------------------------------
 
-def test_policy_from_env_congestion():
-    assert isinstance(policy_from_env("congestion"), CongestionAwarePolicy)
+def test_policy_named_congestion():
+    assert isinstance(policy_named("congestion"), CongestionAwarePolicy)
 
 
 def _concurrent_run(policy, n=8, nbytes=16 * MiB):

@@ -12,6 +12,7 @@ from repro.dataplane.graph import (
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec import ONE_NODE
 from repro.hw.topology import Fabric
+from repro.sim.context import current, using
 from repro.sim.engine import STATS, Engine
 from repro.units import us
 
@@ -37,23 +38,25 @@ def _run(engine, gen):
 # -- gating -------------------------------------------------------------------
 
 def test_graphs_enabled_by_default():
-    assert graphs_enabled()
+    assert graphs_enabled(current())
+    assert graphs_enabled(Engine().ctx)
 
 
-def test_no_graphs_env_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-    assert not graphs_enabled()
+def test_no_graphs_env_disables():
+    from repro.__main__ import context_from_environ
+
+    with using(context_from_environ({"REPRO_NO_GRAPHS": "1"})) as ctx:
+        assert not graphs_enabled(ctx)
+        assert not graphs_enabled(Engine().ctx)
+    assert graphs_enabled(current())
 
 
 def test_ambient_obs_bus_disables():
-    from repro.obs import bus as obs_bus
+    from repro.obs.bus import Bus
 
-    obs_bus.install(obs_bus.Bus())
-    try:
-        assert not graphs_enabled()
-    finally:
-        obs_bus.uninstall()
-    assert graphs_enabled()
+    with using(bus=Bus()) as ctx:
+        assert not graphs_enabled(ctx)
+    assert graphs_enabled(current())
 
 
 # -- GraphEngine --------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.dataplane.bench import measure_stripe_goodput, stripe_sweep
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec import ONE_NODE, gh200_spec
 from repro.hw.topology import Fabric
+from repro.sim.context import using
 from repro.sim.engine import Engine
 from repro.units import MiB
 
@@ -147,16 +148,15 @@ def test_multipath_is_bit_equal_across_runs():
     assert len(first) > 10
 
 
-def test_multipath_times_survive_no_coalesce(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
+def test_multipath_times_survive_no_coalesce():
     base = measure_stripe_goodput(64 * MiB, "multi")
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-    nocoal = measure_stripe_goodput(64 * MiB, "multi")
+    with using(coalesce=False):
+        nocoal = measure_stripe_goodput(64 * MiB, "multi")
     assert base["elapsed_s"] == nocoal["elapsed_s"]
     assert base["stripes"] == nocoal["stripes"]
 
 
-def test_multipath_sweep_digest_stable(monkeypatch):
+def test_multipath_sweep_digest_stable():
     """The whole sweep's simulated numbers are a pure function of the
     code: two runs hash identically (no RNG, no wall-clock leakage)."""
     def digest():

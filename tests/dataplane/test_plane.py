@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dataplane import Dataplane, MultiPathPolicy, SinglePathPolicy, policy_from_env
+from repro.dataplane import Dataplane, MultiPathPolicy, SinglePathPolicy, policy_named
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec import ONE_NODE, named_spec
 from repro.hw.topology import Fabric
+from repro.sim.context import using
 from repro.sim.engine import Engine
 
 
@@ -116,22 +117,27 @@ def test_ledger_totals_across_classes():
     assert snap["coll"]["transfers"] == 1
 
 
-def test_policy_from_env_values():
-    assert isinstance(policy_from_env(None), SinglePathPolicy)
-    assert isinstance(policy_from_env(""), SinglePathPolicy)
-    assert isinstance(policy_from_env("single"), SinglePathPolicy)
-    assert isinstance(policy_from_env("multi"), MultiPathPolicy)
-    with pytest.raises(ValueError, match="REPRO_PATH_POLICY"):
-        policy_from_env("fastest")
+def test_policy_named_values():
+    assert isinstance(policy_named("single"), SinglePathPolicy)
+    assert isinstance(policy_named("multi"), MultiPathPolicy)
+    with pytest.raises(ValueError, match="not a known policy"):
+        policy_named("fastest")
 
 
-def test_env_knob_selects_policy(monkeypatch):
-    monkeypatch.setenv("REPRO_PATH_POLICY", "multi")
-    _e, fab = _mk()
+def test_env_knob_selects_policy():
+    from repro.__main__ import context_from_environ
+
+    with using(context_from_environ({"REPRO_PATH_POLICY": "multi"})):
+        _e, fab = _mk()
     assert isinstance(fab.dataplane.policy, MultiPathPolicy)
-    monkeypatch.delenv("REPRO_PATH_POLICY")
     _e, fab = _mk()
     assert isinstance(fab.dataplane.policy, SinglePathPolicy)
+
+
+def test_unknown_context_policy_rejected_before_any_fabric():
+    with pytest.raises(ValueError, match="'fastest' is not a known policy"):
+        with using(policy="fastest"):
+            pass  # pragma: no cover - never entered
 
 
 def test_multipath_policy_guards():

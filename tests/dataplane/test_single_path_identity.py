@@ -1,7 +1,7 @@
 """SinglePathPolicy must reproduce the pre-dataplane seed byte-for-byte.
 
 The refactor's central promise: with the default policy (or an explicit
-``REPRO_PATH_POLICY=single``) every producer's traffic takes the exact
+``using(policy="single")``) every producer's traffic takes the exact
 event sequence it took before the dataplane existed — pinned against the
 seed's SHA-256 sanitizer digests from tests/sim/test_determinism.py.
 """
@@ -11,6 +11,7 @@ import hashlib
 from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
 from repro.san import Sanitizer
+from repro.sim.context import using
 
 from tests.sim.test_determinism import _SEED_TRACES, _workload
 
@@ -22,20 +23,18 @@ def _digest():
     return hashlib.sha256(san.trace_bytes()).hexdigest()
 
 
-def test_default_policy_matches_seed_digest(monkeypatch):
-    monkeypatch.delenv("REPRO_PATH_POLICY", raising=False)
+def test_default_policy_matches_seed_digest():
     assert _digest() == _SEED_TRACES["one-node"]
 
 
-def test_explicit_single_matches_seed_digest(monkeypatch):
-    monkeypatch.setenv("REPRO_PATH_POLICY", "single")
-    assert _digest() == _SEED_TRACES["one-node"]
+def test_explicit_single_matches_seed_digest():
+    with using(policy="single"):
+        assert _digest() == _SEED_TRACES["one-node"]
 
 
-def test_ledger_sees_the_seed_workload(monkeypatch):
+def test_ledger_sees_the_seed_workload():
     """Accounting is passive but present: the partitioned ping-pong's
     traffic shows up by class without perturbing the digest."""
-    monkeypatch.delenv("REPRO_PATH_POLICY", raising=False)
     world = World(ONE_NODE)
     with Sanitizer() as san:
         _workload(world)

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.hw import faults as hw_faults
-from repro.hw.faults import FaultError, FaultEvent, FaultSchedule, fault_schedule
+from repro.bench.series import Series
+
+from repro.hw.faults import FaultError, FaultEvent, FaultSchedule
 from repro.hw.links import LinkDownError, start_transfer
 from repro.hw.memory import Buffer, MemSpace
 from repro.hw.spec.generators import resolve_machine
 from repro.hw.topology import Fabric, RouteError
+from repro.sim.context import current, using
 from repro.sim.engine import Engine
 
 
@@ -199,11 +201,11 @@ def test_for_shard_scopes_by_node():
     assert [e.t for e in mine] == [0.2, 0.3]    # node 1 + unscoped
 
 
-# -- ambient installation -----------------------------------------------------
+# -- installation through the run context -------------------------------------
 
 def test_fabric_installs_ambient_schedule_as_timers():
     sched = FaultSchedule([FaultEvent(1e-3, "nvl0->1", "down")])
-    with fault_schedule(sched):
+    with using(faults=sched):
         engine, fab = _mk()
     assert len(fab.fault_events) == 1
     assert fab.link_state.armed            # armed from t=0, epoch untouched
@@ -215,19 +217,19 @@ def test_fabric_installs_ambient_schedule_as_timers():
 
 
 def test_past_events_apply_immediately_on_rebuild():
-    engine = Engine()
+    sched = FaultSchedule([FaultEvent(1e-3, "nvl0->1", "down")])
+    with using(faults=sched):
+        engine = Engine()
     engine.timeout(5e-3)
     engine.run()                           # now = 5 ms
-    sched = FaultSchedule([FaultEvent(1e-3, "nvl0->1", "down")])
-    with fault_schedule(sched):
-        fab = Fabric(engine, resolve_machine("gh200-1x4"))
+    fab = Fabric(engine, resolve_machine("gh200-1x4"))
     assert not fab.link_state.find("nvl0->1").up
     assert fab.fault_events == []          # nothing pending
 
 
 def test_unknown_link_fails_at_install_not_midrun():
     sched = FaultSchedule([FaultEvent(1e-3, "nvl9->9", "down")])
-    with fault_schedule(sched):
+    with using(faults=sched):
         with pytest.raises(KeyError, match="nvl9->9"):
             _mk()
 
@@ -235,20 +237,33 @@ def test_unknown_link_fails_at_install_not_midrun():
 def test_ambient_schedule_restores_previous_on_exit():
     a = FaultSchedule([FaultEvent(0.1, "x", "down")])
     b = FaultSchedule([FaultEvent(0.2, "y", "down")])
-    assert hw_faults.active() is None
-    with fault_schedule(a):
-        assert hw_faults.active() is a
-        with fault_schedule(b):
-            assert hw_faults.active() is b
-        assert hw_faults.active() is a
-    assert hw_faults.active() is None
+    assert current().faults is None
+    with using(faults=a):
+        assert current().faults is a
+        with using(faults=b):
+            assert current().faults is b
+        assert current().faults is a
+    assert current().faults is None
 
 
 def test_fault_schedule_accepts_path(tmp_path):
+    from repro.workload.base import ExecOutcome, Workload
+
+    seen = []
+
+    class Probe(Workload):
+        name = "probe"
+
+        def _execute(self, machine, shards, **params):
+            seen.append(current().faults)
+            return ExecOutcome(series=Series("probe", "probe", ["x"]))
+
     p = tmp_path / "f.jsonl"
     p.write_text('{"t": 0.5, "link": "nvl0->1", "action": "down"}\n')
-    with fault_schedule(str(p)) as sched:
-        assert len(sched) == 1 and sched.events[0].link == "nvl0->1"
+    Probe().run(faults=str(p))
+    [sched] = seen
+    assert len(sched) == 1 and sched.events[0].link == "nvl0->1"
+    assert current().faults is None
 
 
 def test_no_schedule_means_unarmed_fabric():

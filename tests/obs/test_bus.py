@@ -1,9 +1,9 @@
-"""Bus semantics: the fast-path contract, dispatch order, ambient install."""
+"""Bus semantics: the fast-path contract, dispatch order, run-context attach."""
 
 import pytest
 
-from repro.obs import bus as obs_bus
 from repro.obs.bus import COUNTER, INSTANT, SPAN, Bus, ObsEvent
+from repro.sim.context import current, using
 from repro.sim.engine import Engine
 
 
@@ -123,25 +123,14 @@ def test_compact_degrades_objects_but_shares_scalars():
     assert scalar.compact() is scalar
 
 
-# -- ambient install ---------------------------------------------------------
+# -- the run context's bus ---------------------------------------------------
 
 def test_install_makes_new_engines_attach():
     bus, sink = Bus(), Sink()
     bus.subscribe(sink)
-    obs_bus.install(bus)
-    eng = Engine()
+    with using(bus=bus):
+        eng = Engine()
     assert eng.obs is bus
-    assert obs_bus.uninstall() is bus
+    assert eng.ctx.bus is bus
+    assert current().bus is None
     assert Engine().obs is None
-
-
-def test_second_install_rejected():
-    obs_bus.install(Bus())
-    with pytest.raises(RuntimeError):
-        obs_bus.install(Bus())
-    obs_bus.uninstall()
-
-
-def test_uninstall_without_install_rejected():
-    with pytest.raises(RuntimeError):
-        obs_bus.uninstall()

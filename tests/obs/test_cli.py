@@ -55,10 +55,10 @@ def test_crashing_target_exits_2(tmp_path, capsys):
 
 
 def test_profile_script_uninstalls_bus_on_crash(tmp_path):
-    from repro.obs import bus as obs_bus
+    from repro.sim.context import current
 
     bad = tmp_path / "bad.py"
     bad.write_text("raise RuntimeError('boom')\n")
     with pytest.raises(RuntimeError):
         profile_script(str(bad))
-    assert obs_bus.active() is None
+    assert current().bus is None

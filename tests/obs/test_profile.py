@@ -9,8 +9,7 @@ from repro.cuda.kernel import BlockKernel
 from repro.cuda.timing import WorkSpec
 from repro.hw.spec import ONE_NODE
 from repro.mpi.world import World
-from repro.obs import bus as obs_bus
-from repro.obs.bus import SPAN, ObsEvent
+from repro.obs.bus import SPAN, Bus, ObsEvent
 from repro.obs.profile import (
     Collector,
     critical_path,
@@ -21,6 +20,7 @@ from repro.obs.profile import (
 )
 from repro.partitioned import device as pdev
 from repro.partitioned.prequest import CopyMode
+from repro.sim.context import using
 
 
 def _span(name, cat, t0, t1, seq, actor=None, **payload):
@@ -101,11 +101,10 @@ def test_empty_stream_yields_empty_chain():
 
 def _profiled_send(mode=CopyMode.PROGRESSION_ENGINE, n=4096, partitions=4):
     """Fig. 4-style intra-node partitioned send, observed end to end."""
-    bus = obs_bus.Bus()
+    bus = Bus()
     collector = Collector()
     bus.subscribe(collector)
-    obs_bus.install(bus)
-    try:
+    with using(bus=bus):
         world = World(ONE_NODE)
 
         def main(ctx):
@@ -136,8 +135,6 @@ def _profiled_send(mode=CopyMode.PROGRESSION_ENGINE, n=4096, partitions=4):
                 assert np.all(rbuf.data == 1.0)
 
         world.run(main, nprocs=2)
-    finally:
-        obs_bus.uninstall()
     return world, collector.events
 
 

@@ -21,6 +21,7 @@ from repro.hw.spec.generators import resolve_machine
 from repro.hw.spec.schema import SpecError
 from repro.shard import ClusterError, ClusterJob, local_spec
 from repro.shard import workloads as workloads_mod
+from repro.sim.context import using
 from repro.sim.engine import STATS
 
 MACHINES = ["fat-tree-32-r2-l2", "dragonfly-32-r2-g2"]
@@ -57,12 +58,33 @@ def test_modes_bit_identical(machine, workload):
 
 
 @pytest.mark.parametrize("machine", MACHINES)
-def test_no_coalesce_keeps_modes_identical(machine, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
+def test_no_coalesce_keeps_modes_identical(machine):
     job = _job(machine, "halo")
-    seq = job.run()
-    mp = job.run(workers=2)
+    with using(coalesce=False):
+        seq = job.run()
+        mp = job.run(workers=2)
     assert mp.signature() == seq.signature()
+
+
+def _build_ctx_probe(shard, cfg):
+    def probe():
+        yield shard.engine.timeout(0)
+        ctx = shard.engine.ctx
+        return (ctx.policy, ctx.coalesce, ctx.graphs, shard.fabric.dataplane.policy.name)
+
+    return [shard.engine.process(probe(), name=f"probe{shard.id}")]
+
+
+def test_workers_build_under_the_callers_run_context(monkeypatch):
+    """Forked workers receive the run context from the executor and build
+    every shard (engine, fabric, dataplane) under it."""
+    monkeypatch.setitem(workloads_mod.WORKLOADS, "ctx-probe", (_build_ctx_probe, {}))
+    job = ClusterJob(resolve_machine("fat-tree-32-r2-l2"), "ctx-probe")
+    with using(policy="multi", coalesce=False, graphs=False):
+        res = job.run(workers=2)
+    assert res.mode == "mp"
+    assert len(res.results) == 4
+    assert all(v == [("multi", False, False, "multi")] for v in res.results.values())
 
 
 @pytest.mark.parametrize("workload", ["halo", "allreduce-node"])

@@ -13,6 +13,7 @@ from repro.mpi.world import World
 from repro.partitioned import device as pdev
 from repro.partitioned.aggregation import AggregationSpec, SignalMode
 from repro.san import Sanitizer
+from repro.sim.context import using
 
 WORK = WorkSpec.vector_add()
 GRID, BLOCK = 4, 256
@@ -120,17 +121,14 @@ def test_gh200_spec_trace_matches_pre_refactor_seed(config, key):
 # subscribed bus must never perturb the simulated timeline.
 
 def test_sanitized_digest_unchanged_with_idle_ambient_bus():
-    """An installed-but-subscriber-less bus leaves engine.obs None; the
+    """A subscriber-less bus in the run context leaves engine.obs None; the
     sanitizer (which rides the same bus) still reproduces the seed digest."""
-    from repro.obs import bus as obs_bus
+    from repro.obs.bus import Bus
 
-    obs_bus.install(obs_bus.Bus())
-    try:
+    with using(bus=Bus()):
         with Sanitizer() as san:
             world = World(ONE_NODE)
             _workload(world)
-    finally:
-        obs_bus.uninstall()
     assert san.report.ok
     digest = hashlib.sha256(san.trace_bytes()).hexdigest()
     assert digest == _SEED_TRACES["one-node"]
@@ -138,18 +136,14 @@ def test_sanitized_digest_unchanged_with_idle_ambient_bus():
 
 def test_step_stream_unchanged_with_idle_bus():
     baseline = _step_stream()
-    from repro.obs import bus as obs_bus
+    from repro.obs.bus import Bus
 
-    bus = obs_bus.Bus()
-    obs_bus.install(bus)
-    try:
+    with using(bus=Bus()):
         world = World(ONE_NODE)
         assert world.engine.obs is None  # no subscribers: fast path intact
         steps = []
         world.engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
         _workload(world)
-    finally:
-        obs_bus.uninstall()
     assert steps == baseline
 
 
@@ -157,21 +151,18 @@ def test_step_stream_unchanged_under_full_observation():
     """Subscribing a collector turns every hook on — and must not move a
     single event: observers read the timeline, never shape it."""
     baseline = _step_stream()
-    from repro.obs import bus as obs_bus
+    from repro.obs.bus import Bus
     from repro.obs.profile import Collector
 
-    bus = obs_bus.Bus()
+    bus = Bus()
     collector = Collector()
     bus.subscribe(collector)
-    obs_bus.install(bus)
-    try:
+    with using(bus=bus):
         world = World(ONE_NODE)
         assert world.engine.obs is bus
         steps = []
         world.engine.on_step = lambda t, prio, seq: steps.append((t, prio, seq))
         _workload(world)
-    finally:
-        obs_bus.uninstall()
     assert steps == baseline
     cats = {ev.cat for ev in collector.events}
     assert {"engine", "kernel", "link", "pe", "stream", "ucx", "san"} <= cats
@@ -182,7 +173,7 @@ def test_step_stream_unchanged_under_full_observation():
 # The wall-clock fast path (DESIGN.md §11) collapses same-instant partition
 # waves into aggregate events, but only when nothing observes the run.  The
 # contract has two halves: unobserved runs land on byte-identical simulated
-# times either way, and the REPRO_NO_COALESCE escape hatch never perturbs
+# times either way, and the coalesce=False escape hatch never perturbs
 # observed (step-hashed / sanitized) streams.
 
 @pytest.mark.parametrize(
@@ -194,39 +185,36 @@ def test_step_stream_unchanged_under_full_observation():
     ],
     ids=["pe-1tp", "pe-8tp", "kc-2tp"],
 )
-def test_unobserved_times_equal_with_and_without_coalescing(monkeypatch, grid, model, tps):
+def test_unobserved_times_equal_with_and_without_coalescing(grid, model, tps):
     """Goodput (a pure function of simulated timestamps) is bit-equal with
     wave coalescing on and off, and the fast path actually engaged."""
     from repro.bench.p2p import measure_p2p_goodput
     from repro.sim.engine import STATS
 
-    monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
     STATS.reset()
     fast = measure_p2p_goodput(grid, model, ONE_NODE, tps=tps)
     fast_pops, fast_coalesced = STATS.events_popped, STATS.events_coalesced
 
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
     STATS.reset()
-    exact = measure_p2p_goodput(grid, model, ONE_NODE, tps=tps)
+    with using(coalesce=False):
+        exact = measure_p2p_goodput(grid, model, ONE_NODE, tps=tps)
 
     assert fast == exact  # bit-equal simulated times, not approximately
     assert fast_coalesced > 0, "fast path never engaged"
-    assert STATS.events_coalesced == 0, "REPRO_NO_COALESCE did not disable it"
+    assert STATS.events_coalesced == 0, "coalesce=False did not disable it"
     assert fast_pops < STATS.events_popped
 
 
-def test_step_stream_unchanged_by_no_coalesce_env(monkeypatch):
-    """on_step observation already forces the exact path; the env knob must
+def test_step_stream_unchanged_by_no_coalesce_env():
+    """on_step observation already forces the exact path; the knob must
     be inert on top of it — same (time, priority, seq) stream either way."""
-    monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
     baseline = _step_stream()
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-    assert _step_stream() == baseline
+    with using(coalesce=False):
+        assert _step_stream() == baseline
 
 
-def test_sanitized_digest_unchanged_by_no_coalesce_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-    with Sanitizer() as san:
+def test_sanitized_digest_unchanged_by_no_coalesce_env():
+    with using(coalesce=False), Sanitizer() as san:
         _workload(World(ONE_NODE))
     assert san.report.ok
     digest = hashlib.sha256(san.trace_bytes()).hexdigest()

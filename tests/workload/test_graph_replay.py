@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.context import using
 from repro.workload.generators import jacobi_schedule, llm_schedule
 from repro.workload.replay import ReplayError, ReplayWorkload, parse_jsonl
 
@@ -114,18 +115,15 @@ def test_jacobi_schedule_deterministic_digest():
 
 # -- A/B equivalence: world mode ----------------------------------------------
 
-def _world_run(monkeypatch, graphs):
-    if graphs:
-        monkeypatch.delenv("REPRO_NO_GRAPHS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
+def _world_run(graphs):
     wl = ReplayWorkload(llm_schedule(dp=1, tp=2, pp=2, microbatches=2))
-    return wl.run(machine="gh200-1x4")
+    with using(graphs=graphs):
+        return wl.run(machine="gh200-1x4")
 
 
-def test_world_graph_replay_bit_identical(monkeypatch):
-    on = _world_run(monkeypatch, graphs=True)
-    off = _world_run(monkeypatch, graphs=False)
+def test_world_graph_replay_bit_identical():
+    on = _world_run(graphs=True)
+    off = _world_run(graphs=False)
     assert on.mode == off.mode == "world"
     assert on.extra["t_end"] == off.extra["t_end"]
     assert on.class_bytes == off.class_bytes
@@ -142,18 +140,15 @@ def test_world_graph_replay_bit_identical(monkeypatch):
 
 # -- A/B equivalence: cluster mode --------------------------------------------
 
-def _cluster_run(monkeypatch, graphs, shards=None):
-    if graphs:
-        monkeypatch.delenv("REPRO_NO_GRAPHS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
+def _cluster_run(graphs, shards=None):
     wl = ReplayWorkload(jacobi_schedule(py=4, px=2, iters=10))
-    return wl.run(machine="gh200-2x4", shards=shards)
+    with using(graphs=graphs):
+        return wl.run(machine="gh200-2x4", shards=shards)
 
 
-def test_cluster_graph_replay_bit_identical(monkeypatch):
-    on = _cluster_run(monkeypatch, graphs=True)
-    off = _cluster_run(monkeypatch, graphs=False)
+def test_cluster_graph_replay_bit_identical():
+    on = _cluster_run(graphs=True)
+    off = _cluster_run(graphs=False)
     assert on.digests == off.digests               # msg + per-shard step hashes
     assert on.class_bytes == off.class_bytes
     assert (on.extra["signature"]["t_end"]
@@ -164,39 +159,32 @@ def test_cluster_graph_replay_bit_identical(monkeypatch):
     assert on.events_popped * 3 <= off.events_popped
 
 
-def test_cluster_graph_replay_shards_bit_identical(monkeypatch):
-    seq = _cluster_run(monkeypatch, graphs=True)
-    par = _cluster_run(monkeypatch, graphs=True, shards=2)
+def test_cluster_graph_replay_shards_bit_identical():
+    seq = _cluster_run(graphs=True)
+    par = _cluster_run(graphs=True, shards=2)
     assert seq.mode == "sequential" and par.mode == "mp"
     assert seq.digests == par.digests
     assert seq.events_popped == par.events_popped
     assert seq.extra["graphs"] == par.extra["graphs"]
 
 
-def test_cluster_shards_no_graphs_still_identical(monkeypatch):
-    seq = _cluster_run(monkeypatch, graphs=False)
-    par = _cluster_run(monkeypatch, graphs=False, shards=2)
+def test_cluster_shards_no_graphs_still_identical():
+    seq = _cluster_run(graphs=False)
+    par = _cluster_run(graphs=False, shards=2)
     assert seq.digests == par.digests
     assert seq.events_popped == par.events_popped
 
 
-def test_cluster_replay_digest_invariant_across_all_knobs(monkeypatch):
+def test_cluster_replay_digest_invariant_across_all_knobs():
     """One digest set across {graphs on/off} x {coalescing on/off} under
     the multi-path policy: the perf knobs and the striping policy must
     never change what the simulation computes (DESIGN.md §11, §16)."""
     results = []
-    for no_graphs in (False, True):
-        for no_coalesce in (False, True):
-            if no_graphs:
-                monkeypatch.setenv("REPRO_NO_GRAPHS", "1")
-            else:
-                monkeypatch.delenv("REPRO_NO_GRAPHS", raising=False)
-            if no_coalesce:
-                monkeypatch.setenv("REPRO_NO_COALESCE", "1")
-            else:
-                monkeypatch.delenv("REPRO_NO_COALESCE", raising=False)
+    for graphs in (True, False):
+        for coalesce in (True, False):
             wl = ReplayWorkload(jacobi_schedule(py=4, px=2, iters=10))
-            results.append(wl.run(machine="gh200-2x4", policy="multi"))
+            with using(graphs=graphs, coalesce=coalesce):
+                results.append(wl.run(machine="gh200-2x4", policy="multi"))
     base = results[0]
     for res in results[1:]:
         assert res.digests == base.digests

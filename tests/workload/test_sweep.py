@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.hw.spec import MachineSpec
+from repro.sim.context import using
 from repro.workload.replay import ReplayWorkload, parse_jsonl
 from repro.workload.sweep import cell_key, run_sweep, spec_hash
 from repro.workload.base import WorkloadError
@@ -38,6 +39,25 @@ def test_sweep_grid_and_cache_hits(tmp_path):
         assert not a["cached"] and b["cached"]
 
 
+def test_context_policy_never_hits_a_single_path_cell(tmp_path):
+    """A sweep with no policy axis keys, labels and records the policy
+    the run context resolves to: a multi-path run after a default one on
+    the same cache directory misses and computes the multi-path series."""
+    cache = str(tmp_path / "cache")
+    kwargs = dict(workloads=["p2p-point"], machines=["gh200-2x4"])
+    default = run_sweep(cache_dir=cache, **kwargs)["cells"][0]
+    with using(policy="multi"):
+        multi = run_sweep(cache_dir=cache, **kwargs)
+        fresh = run_sweep(cache_dir=None, **kwargs)["cells"][0]
+    assert multi["hits"] == 0 and multi["misses"] == 1
+    [cell] = multi["cells"]
+    assert default["policy"] == default["result"]["policy"] == "single"
+    assert cell["policy"] == cell["result"]["policy"] == "multi"
+    assert cell["key"] != default["key"]
+    assert cell["result"]["digests"] == fresh["result"]["digests"]
+    assert cell["result"]["digests"]["series"] != default["result"]["digests"]["series"]
+
+
 def test_sweep_no_cache(tmp_path):
     grid = run_sweep(
         workloads=[_workload()], machines=["gh200-1x4"], cache_dir=None,
@@ -50,7 +70,9 @@ def test_cell_key_sensitivity():
     base = cell_key("gh200-1x4", wl, "single")
     assert cell_key("gh200-2x4", wl, "single") != base       # machine axis
     assert cell_key("gh200-1x4", wl, "multi") != base        # policy axis
-    assert cell_key("gh200-1x4", wl, None) != base           # default policy
+    assert cell_key("gh200-1x4", wl, None) == base           # context policy
+    with using(policy="multi"):
+        assert cell_key("gh200-1x4", wl, None) == cell_key("gh200-1x4", wl, "multi")
     other = ReplayWorkload(parse_jsonl(SCHED.replace("4096", "8192"),
                                        source="tiny.jsonl"))
     assert cell_key("gh200-1x4", other, "single") != base    # content axis
@@ -128,22 +150,19 @@ def test_route_cache_store_warms_fresh_fabrics(tmp_path):
     from repro.hw.memory import Buffer, MemSpace
     from repro.hw.spec.generators import resolve_machine
     from repro.hw.topology import Fabric
+    from repro.sim.context import using
     from repro.sim.engine import Engine
     from repro.workload.sweep import RouteCacheStore
 
     spec = resolve_machine("gh200-1x4")
 
     def route_once(store):
-        prev = Fabric.route_store
-        Fabric.route_store = store
-        try:
+        with using(routes=store):
             fab = Fabric(Engine(), spec)
-            src = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=0)
-            dst = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=1)
-            fab.route(src, dst)
-            return fab
-        finally:
-            Fabric.route_store = prev
+        src = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=0)
+        dst = Buffer.alloc(8, space=MemSpace.DEVICE, node=0, gpu=1)
+        fab.route(src, dst)
+        return fab
 
     cold = RouteCacheStore(str(tmp_path / "routes"))
     fab = route_once(cold)
